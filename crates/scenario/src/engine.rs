@@ -967,10 +967,11 @@ pub fn run_real(spec: &ScenarioSpec, quick: bool) -> Result<ScenarioReport, Engi
 // ---------------------------------------------------------------------
 
 /// A scenario's exploration scope, ready for [`ruo_sim::explore`]: the
-/// setup closure (fresh memory + machines per schedule), the op
-/// descriptors, and the checker's initial value.
+/// setup closure (seeded memory + fresh machines), the op descriptors,
+/// and the checker's initial value.
 pub struct ExploreParts {
-    /// Builds a fresh memory and machine vector for one schedule
+    /// Returns a copy of the scope's seeded memory and a fresh machine
+    /// per op, built from one object constructed when the parts were
     /// (`Sync` so [`explore_parallel`] workers can each call it).
     pub setup: Box<dyn Fn() -> (Memory, Vec<Machine>) + Sync>,
     /// One descriptor per machine.
@@ -1028,20 +1029,22 @@ pub fn explore_parts(spec: &ScenarioSpec) -> Result<ExploreParts, EngineError> {
                 .into(),
         ));
     }
-    // Validate construction once, eagerly, so bad capacities error here
-    // rather than panicking inside the search.
-    build_sim_object(spec)?;
-    let scope_spec = spec.clone();
-    let scope = espec.clone();
+    // Build the object and run the seed update once per scope, so bad
+    // capacities error here rather than panicking inside the search. The
+    // explorer calls `setup` on every machine-pool refill; each call
+    // clones the seeded memory and builds machines from the one object,
+    // so every call refers to the same `ObjId`s.
+    let (mut seeded, obj) = build_sim_object(spec)?;
+    if let (Some(seed_v), SimObject::MaxReg(reg)) = (espec.seed_update, &obj) {
+        run_solo(
+            &mut seeded,
+            ProcessId(0),
+            reg.write_max(ProcessId(0), seed_v),
+        );
+    }
+    let scope_ops = espec.ops.clone();
     let setup: Box<dyn Fn() -> (Memory, Vec<Machine>) + Sync> = Box::new(move || {
-        let (mut mem, obj) = build_sim_object(&scope_spec).expect("validated above");
-        if let Some(seed_v) = scope.seed_update {
-            if let SimObject::MaxReg(reg) = &obj {
-                run_solo(&mut mem, ProcessId(0), reg.write_max(ProcessId(0), seed_v));
-            }
-        }
-        let machines = scope
-            .ops
+        let machines = scope_ops
             .iter()
             .map(|op| {
                 let pid = ProcessId(op.pid);
@@ -1054,7 +1057,7 @@ pub fn explore_parts(spec: &ScenarioSpec) -> Result<ExploreParts, EngineError> {
                 }
             })
             .collect();
-        (mem, machines)
+        (seeded.clone(), machines)
     });
     let ops = espec
         .ops
@@ -1203,6 +1206,11 @@ pub fn run_explore(spec: &ScenarioSpec, quick: bool) -> Result<ScenarioReport, E
     }
     report.set("schedules", summary.schedules as u64);
     report.set("workers", espec.workers as u64);
+    if espec.workers > 1 {
+        for (w, &n) in summary.worker_schedules.iter().enumerate() {
+            report.set(&format!("worker_{w}_schedules"), n as u64);
+        }
+    }
     report.set("truncated", summary.truncated as u64);
     report.set("violation", summary.violation.is_some() as u64);
     report.set("pruned_branches", summary.stats.pruned_branches as u64);
@@ -1380,6 +1388,49 @@ mod tests {
             assert_eq!(p.counter(key), r.counter(key), "{key}");
         }
         assert_eq!(p.counter("workers"), Some(4));
+        let shares: u64 = (0..4)
+            .map(|w| p.counter(&format!("worker_{w}_schedules")).unwrap())
+            .sum();
+        assert_eq!(Some(shares), p.counter("schedules"));
+    }
+
+    #[test]
+    fn explore_setup_is_deterministic() {
+        // The explorer refills its machine pool by calling `setup` again
+        // and mixes those machines with the first call's memory, so
+        // every call must build the same seeded memory and the same
+        // machines.
+        let mut spec = ScenarioSpec::new("t", Family::MaxReg, "tree", EngineKind::Explore, 5);
+        spec.root_fast_path = true;
+        spec.explore = Some(ExploreSpec {
+            seed_update: Some(3),
+            ops: (0..5)
+                .map(|pid| ScenarioOp {
+                    pid,
+                    kind: if pid < 3 {
+                        OpKind::Update
+                    } else {
+                        OpKind::Read
+                    },
+                    value: pid as u64 + 2,
+                })
+                .collect(),
+            max_schedules: 10,
+            prune: true,
+            max_crashes: 0,
+            workers: 1,
+        });
+        let parts = explore_parts(&spec).unwrap();
+        let (mem_a, machines_a) = (parts.setup)();
+        let (mem_b, machines_b) = (parts.setup)();
+        assert!(mem_a.steps() > 0, "the seed update ran during setup");
+        assert_eq!(mem_a.snapshot(), mem_b.snapshot());
+        assert_eq!(mem_a.log().len(), mem_b.log().len());
+        assert_eq!(machines_a.len(), 5);
+        for (a, b) in machines_a.iter().zip(&machines_b) {
+            assert!(a.enabled().is_some());
+            assert_eq!(a.enabled(), b.enabled());
+        }
     }
 
     #[test]

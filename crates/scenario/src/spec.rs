@@ -240,7 +240,7 @@ pub struct ExploreSpec {
     /// Crash budget (0 = crash-free schedules only).
     pub max_crashes: usize,
     /// Worker threads for the search (1 = the sequential explorer;
-    /// more partitions the root branches via `explore_parallel`).
+    /// more share the search tree via `explore_parallel`).
     pub workers: usize,
 }
 

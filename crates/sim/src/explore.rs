@@ -15,7 +15,9 @@
 //!   the overwritten value) and rebuilds only the stepped machine by
 //!   re-feeding its recorded responses into a fresh machine from a pool
 //!   (continuations are `FnOnce`, so a consumed machine cannot be
-//!   rewound directly). Legacy full-prefix replay cost
+//!   rewound directly). The pool is refilled by calling `setup` again
+//!   and keeps at most a few spare machines per operation, so its size
+//!   does not grow with the search. Legacy full-prefix replay cost
 //!   `O(tree-size × depth)` memory events; the incremental scheme costs
 //!   `O(tree-size)` plus the (per-process, usually much shorter) machine
 //!   re-feeds.
@@ -71,8 +73,20 @@
 //! Algorithm A at N=4 is checked, and the single-CAS variant's
 //! lost-write bug is found automatically (see
 //! `tests/crash_exploration.rs` and EXPERIMENTS.md § W6).
+//!
+//! # Parallel search
+//!
+//! [`explore_parallel`] runs the same DFS on several workers that share a
+//! queue of subtrees, each recorded as its prefix, sleep set and crash
+//! state. The queue starts with the root. A worker that finds it empty
+//! raises a flag; the first busy worker to see the flag hands every node
+//! it has not yet entered below its own subtree's root to the queue.
+//! A worker starts a subtree by replaying its prefix uncounted, so every
+//! node is counted by exactly one worker and the merged counters equal
+//! a sequential run's.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 
 use crate::history::{History, OpOutput, OpRecord};
 use crate::{Machine, Memory, ObjId, OpDesc, ProcessId, Word};
@@ -80,6 +94,12 @@ use crate::{Machine, Memory, ObjId, OpDesc, ProcessId, Word};
 /// Hard per-operation step cap: a machine exceeding this many steps in
 /// one schedule would make enumeration meaningless.
 const STEP_CAP: usize = 10_000;
+
+/// Most never-stepped machines the pool keeps per operation. A `setup`
+/// call yields one machine for every operation while a rebuild consumes
+/// one, so without a cap the surplus of rarely rebuilt operations would
+/// grow with the search.
+const SPARE_CAP: usize = 4;
 
 /// One process's single operation for exploration: a description plus a
 /// machine factory (invoked afresh for every schedule).
@@ -186,6 +206,10 @@ pub struct ExploreSummary {
     pub violation_crashed: Vec<ProcessId>,
     /// Work counters for the run.
     pub stats: ExploreStats,
+    /// Schedules each worker checked, in worker order: one entry for
+    /// [`explore`], `workers` entries (summing to
+    /// [`schedules`](ExploreSummary::schedules)) for [`explore_parallel`].
+    pub worker_schedules: Vec<usize>,
 }
 
 /// What the explorer remembers about one executed step, for undo and for
@@ -219,14 +243,131 @@ fn independent(a: &StepInfo, b: &StepInfo) -> bool {
 }
 
 /// Cross-worker coordination for [`explore_parallel`]: the global
-/// schedule count (shared budget) and a stop flag raised on the first
-/// violation or on budget truncation. All accesses are `Relaxed` —
-/// the counters gate *work*, never memory visibility (each worker owns
-/// its memory and machines outright).
+/// schedule count (shared budget), a stop flag raised on the first
+/// violation or on budget truncation, and the subtree queue. The
+/// atomics are `Relaxed` — they gate *work*, never memory visibility
+/// (each worker owns its memory and machines outright; subtrees pass
+/// through the mutex).
+#[derive(Default)]
 struct SharedSearch {
     schedules: AtomicUsize,
     stop: AtomicBool,
     truncated: AtomicBool,
+    /// Raised by a worker waiting on an empty queue; the first busy
+    /// worker to see it lowers it and hands over its unexplored nodes.
+    hungry: AtomicBool,
+    queue: Mutex<Queue>,
+    /// Signalled when subtrees arrive or the search ends.
+    wake: Condvar,
+}
+
+/// The subtrees waiting for a worker.
+#[derive(Default)]
+struct Queue {
+    subtrees: Vec<Subtree>,
+    /// Workers waiting for a subtree.
+    idle: usize,
+    /// Set once no worker can produce more subtrees.
+    done: bool,
+}
+
+impl SharedSearch {
+    /// The next subtree to search, waiting while any of the other
+    /// `workers - 1` workers is busy and may still hand some over.
+    /// `None` once the search is over or stopped.
+    fn next_subtree(&self, workers: usize) -> Option<Subtree> {
+        let mut q = self.queue.lock().expect("explore queue poisoned");
+        loop {
+            if q.done || self.stop.load(Ordering::Relaxed) {
+                q.done = true;
+                self.wake.notify_all();
+                return None;
+            }
+            if let Some(node) = q.subtrees.pop() {
+                return Some(node);
+            }
+            if q.idle + 1 == workers {
+                // Everyone else is waiting too: nothing is left.
+                q.done = true;
+                self.wake.notify_all();
+                return None;
+            }
+            q.idle += 1;
+            self.hungry.store(true, Ordering::Relaxed);
+            q = self.wake.wait(q).expect("explore queue poisoned");
+            q.idle -= 1;
+        }
+    }
+
+    /// Queues subtrees a busy worker handed over.
+    fn give(&self, nodes: Vec<Subtree>) {
+        let mut q = self.queue.lock().expect("explore queue poisoned");
+        q.subtrees.extend(nodes);
+        self.wake.notify_all();
+    }
+}
+
+/// A DFS node queued for [`explore_parallel`]'s workers: what `dfs`
+/// needs to search the node's subtree exactly as the sequential search
+/// does.
+#[derive(Clone, Debug)]
+struct Subtree {
+    /// The schedule prefix leading to the node (operation indices).
+    prefix: Vec<usize>,
+    /// The node's sleep set.
+    sleep: u64,
+    /// Operations crashed on the path to the node.
+    crashed: u64,
+    /// Crash budget left at the node.
+    crashes_left: usize,
+}
+
+/// Work counters as a search accumulates them. Replay savings are kept
+/// as two plain sums — what full-prefix replay would have executed and
+/// what machine re-feeds cost — and subtracted once in
+/// [`Tally::finish`], so the workers of [`explore_parallel`] add up to
+/// the sequential figure whatever order they searched in.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    /// Every counter except `replay_steps_saved`.
+    stats: ExploreStats,
+    /// Memory events a full-prefix-replay explorer would have executed
+    /// beyond the forward steps.
+    full_replay: u64,
+    /// Responses re-fed to rebuilt machines.
+    refeeds: u64,
+}
+
+impl Tally {
+    fn absorb(&mut self, other: &Tally) {
+        let (s, o) = (&mut self.stats, &other.stats);
+        s.schedules += o.schedules;
+        s.pruned_branches += o.pruned_branches;
+        s.executed_steps += o.executed_steps;
+        s.peak_depth = s.peak_depth.max(o.peak_depth);
+        s.crash_branches += o.crash_branches;
+        s.reads += o.reads;
+        s.writes += o.writes;
+        s.cas_ok += o.cas_ok;
+        s.cas_fail += o.cas_fail;
+        self.full_replay += other.full_replay;
+        self.refeeds += other.refeeds;
+    }
+
+    fn finish(self) -> ExploreStats {
+        ExploreStats {
+            replay_steps_saved: self.full_replay.saturating_sub(self.refeeds),
+            ..self.stats
+        }
+    }
+}
+
+/// What one search (a sequential run or a parallel worker) found.
+struct Outcome {
+    tally: Tally,
+    truncated: bool,
+    violation: Option<Vec<ProcessId>>,
+    violation_crashed: Vec<ProcessId>,
 }
 
 struct Explorer<'a> {
@@ -247,7 +388,7 @@ struct Explorer<'a> {
     /// Responses fed to each machine so far, for rebuild on backtrack.
     resp_log: Vec<Vec<Word>>,
     /// Pool of fresh (never-stepped) machines per operation, refilled by
-    /// extra `setup` calls.
+    /// extra `setup` calls and capped at [`SPARE_CAP`] each.
     spare: Vec<Vec<Machine>>,
     /// Tick of each operation's first event, if it has stepped.
     first_step: Vec<Option<usize>>,
@@ -260,14 +401,67 @@ struct Explorer<'a> {
     crashed: u64,
     /// Remaining crash budget on the current DFS path.
     crashes_left: usize,
-    schedules: usize,
+    /// Depth of the root of the subtree being searched: nodes below it
+    /// may be handed to idle workers.
+    root_depth: usize,
+    /// Whether `dfs` is recording every node it enters below
+    /// `root_depth` in `handover` instead of searching it.
+    handing_over: bool,
+    /// Nodes recorded for other workers.
+    handover: Vec<Subtree>,
     truncated: bool,
     violation: Option<Vec<ProcessId>>,
     violation_crashed: Vec<ProcessId>,
-    stats: ExploreStats,
+    tally: Tally,
 }
 
-impl Explorer<'_> {
+impl<'a> Explorer<'a> {
+    /// An explorer at the root of the scope `setup` builds.
+    fn new(
+        setup: &'a dyn Fn() -> (Memory, Vec<Machine>),
+        ops: &'a [ExploreOp],
+        check: &'a mut dyn FnMut(&History) -> bool,
+        cfg: ExploreConfig,
+        shared: Option<&'a SharedSearch>,
+    ) -> Self {
+        let (mem, machines) = setup();
+        assert_eq!(machines.len(), ops.len(), "setup/ops arity mismatch");
+        let n = machines.len();
+        Explorer {
+            setup,
+            ops,
+            check,
+            cfg,
+            shared,
+            base: mem.steps(),
+            mem,
+            machines,
+            resp_log: vec![Vec::new(); n],
+            spare: (0..n).map(|_| Vec::new()).collect(),
+            first_step: vec![None; n],
+            completed_at: vec![None; n],
+            prefix: Vec::new(),
+            crashed: 0,
+            crashes_left: cfg.max_crashes,
+            root_depth: 0,
+            handing_over: false,
+            handover: Vec::new(),
+            truncated: false,
+            violation: None,
+            violation_crashed: Vec::new(),
+            tally: Tally::default(),
+        }
+    }
+
+    fn into_outcome(self) -> Outcome {
+        Outcome {
+            tally: self.tally,
+            truncated: self.truncated,
+            violation: self.violation,
+            violation_crashed: self.violation_crashed,
+        }
+    }
+
     /// Executes one step of operation `idx` against `mem`, recording
     /// everything needed to undo it.
     fn step_forward(&mut self, idx: usize) -> StepInfo {
@@ -275,15 +469,16 @@ impl Explorer<'_> {
         let was_first = self.first_step[idx].is_none();
         let t = self.mem.steps();
         let resp = self.mem.apply(self.ops[idx].pid, prim);
-        self.stats.executed_steps += 1;
+        let stats = &mut self.tally.stats;
+        stats.executed_steps += 1;
         if prim.is_read() {
-            self.stats.reads += 1;
+            stats.reads += 1;
         } else if prim.is_write() {
-            self.stats.writes += 1;
+            stats.writes += 1;
         } else if resp == 1 {
-            self.stats.cas_ok += 1;
+            stats.cas_ok += 1;
         } else {
-            self.stats.cas_fail += 1;
+            stats.cas_fail += 1;
         }
         let finished = self.machines[idx].feed(resp);
         self.resp_log[idx].push(resp);
@@ -322,30 +517,32 @@ impl Explorer<'_> {
             self.first_step[idx] = None;
         }
         let mut m = self.fresh_machine(idx);
-        let refeeds = self.resp_log[idx].len();
-        for i in 0..refeeds {
-            m.feed(self.resp_log[idx][i]);
+        for &resp in &self.resp_log[idx] {
+            m.feed(resp);
         }
-        self.stats.replay_steps_saved =
-            self.stats.replay_steps_saved.saturating_sub(refeeds as u64);
+        self.tally.refeeds += self.resp_log[idx].len() as u64;
         self.machines[idx] = m;
     }
 
     /// A never-stepped machine for operation `idx`, from the pool —
     /// refilled by calling `setup` again (deterministic by contract; the
-    /// extra memory it builds is discarded).
+    /// memory it builds and any machine beyond [`SPARE_CAP`] per
+    /// operation are dropped).
     fn fresh_machine(&mut self, idx: usize) -> Machine {
         if let Some(m) = self.spare[idx].pop() {
             return m;
         }
         let (_, machines) = (self.setup)();
         assert_eq!(machines.len(), self.ops.len(), "setup/ops arity mismatch");
+        let mut fresh = None;
         for (j, m) in machines.into_iter().enumerate() {
-            self.spare[j].push(m);
+            if j == idx {
+                fresh = Some(m);
+            } else if self.spare[j].len() < SPARE_CAP {
+                self.spare[j].push(m);
+            }
         }
-        self.spare[idx]
-            .pop()
-            .expect("setup provides one machine per op")
+        fresh.expect("setup provides one machine per op")
     }
 
     /// The child's sleep set after executing `info`: every process asleep
@@ -441,7 +638,7 @@ impl Explorer<'_> {
     fn budget_exhausted(&self) -> bool {
         let done = match self.shared {
             Some(s) => s.schedules.load(Ordering::Relaxed),
-            None => self.schedules,
+            None => self.tally.stats.schedules,
         };
         done >= self.cfg.max_schedules
     }
@@ -454,8 +651,14 @@ impl Explorer<'_> {
         }
     }
 
+    /// Whether this search should stop: a violation or truncation here,
+    /// or (under [`explore_parallel`]) in another worker.
+    fn halted(&self) -> bool {
+        self.violation.is_some() || self.truncated || self.stopped()
+    }
+
     fn dfs(&mut self, sleep: u64) {
-        if self.violation.is_some() || self.truncated || self.stopped() {
+        if self.halted() {
             return;
         }
         if self.budget_exhausted() {
@@ -463,11 +666,24 @@ impl Explorer<'_> {
             return;
         }
         let depth = self.prefix.len();
-        self.stats.peak_depth = self.stats.peak_depth.max(depth);
+        if depth > self.root_depth && (self.handing_over || self.asked_to_hand_over()) {
+            // Left for another worker, which counts the node when it
+            // searches the subtree. Once handing over, every node this
+            // search has not entered yet goes the same way.
+            self.handing_over = true;
+            self.handover.push(Subtree {
+                prefix: self.prefix.clone(),
+                sleep,
+                crashed: self.crashed,
+                crashes_left: self.crashes_left,
+            });
+            return;
+        }
+        self.tally.stats.peak_depth = self.tally.stats.peak_depth.max(depth);
         if depth > 0 {
             // A full-prefix-replay explorer re-executes the whole prefix
             // to reach this node; the incremental scheme paid one step.
-            self.stats.replay_steps_saved += (depth - 1) as u64;
+            self.tally.full_replay += (depth - 1) as u64;
         }
         let runnable: Vec<usize> = (0..self.machines.len())
             .filter(|&i| !self.machines[i].is_done() && self.crashed & (1 << i) == 0)
@@ -475,7 +691,7 @@ impl Explorer<'_> {
         if runnable.is_empty() {
             // Complete schedule (every op done or crashed): build the
             // history and check it.
-            self.schedules += 1;
+            self.tally.stats.schedules += 1;
             if let Some(s) = self.shared {
                 s.schedules.fetch_add(1, Ordering::Relaxed);
             }
@@ -496,7 +712,7 @@ impl Explorer<'_> {
         let mut explored: Vec<StepInfo> = Vec::new();
         for &idx in &runnable {
             if self.cfg.prune && asleep & (1 << idx) != 0 {
-                self.stats.pruned_branches += 1;
+                self.tally.stats.pruned_branches += 1;
                 continue;
             }
             let info = self.step_forward(idx);
@@ -520,13 +736,13 @@ impl Explorer<'_> {
             {
                 self.crashes_left -= 1;
                 self.crashed |= 1 << idx;
-                self.stats.crash_branches += 1;
+                self.tally.stats.crash_branches += 1;
                 self.dfs(0);
                 self.crashed &= !(1 << idx);
                 self.crashes_left += 1;
             }
             self.step_back(&info);
-            if self.violation.is_some() || self.truncated || self.stopped() {
+            if self.halted() {
                 return;
             }
             // Subsequent siblings may defer idx's step until something
@@ -536,83 +752,58 @@ impl Explorer<'_> {
         }
     }
 
-    /// Runs the root level of the search, descending only into the
-    /// top-level branches whose rank in the root's runnable order is
-    /// `≡ worker (mod workers)` — the partition used by
-    /// [`explore_parallel`].
-    ///
-    /// Every worker first *precomputes* each root branch's first step
-    /// (executed against the pristine root state and immediately
-    /// undone, with the stats snapshot restored so the probe is free):
-    /// those [`StepInfo`]s are exactly the `explored` list the
-    /// sequential root loop would have accumulated, so an owned branch
-    /// at rank `k` starts with the same sleep set — earlier siblings
-    /// whose first steps are independent of its own — that the
-    /// sequential DFS gives it. Union over workers, the searches visit
-    /// exactly the sequential node set, so merged counters (schedules,
-    /// pruned branches, executed steps, replay savings, crash branches)
-    /// reproduce a sequential run field-for-field.
-    fn run_root_partition(&mut self, worker: usize, workers: usize) {
-        if self.stopped() {
-            return;
+    /// Whether an idle worker is waiting for work this search should
+    /// hand over (the first busy worker to see the request takes it).
+    fn asked_to_hand_over(&self) -> bool {
+        self.shared.is_some_and(|s| {
+            s.hungry.load(Ordering::Relaxed) && s.hungry.swap(false, Ordering::Relaxed)
+        })
+    }
+
+    /// Searches `node`'s subtree from the root state: replays the node's
+    /// prefix, runs `dfs` there and returns to the root. Neither the
+    /// replay nor the return is counted — the worker that recorded the
+    /// node already counted the steps to it.
+    fn search(&mut self, node: &Subtree) {
+        let saved = self.tally;
+        for &idx in &node.prefix {
+            self.step_forward(idx);
         }
-        if self.budget_exhausted() {
-            self.mark_truncated();
-            return;
+        self.tally = saved;
+        self.crashed = node.crashed;
+        self.crashes_left = node.crashes_left;
+        self.root_depth = node.prefix.len();
+        self.dfs(node.sleep);
+        self.handing_over = false;
+        self.reset_to_root();
+    }
+
+    /// Undoes every step of the current prefix at once: memory events
+    /// are reversed and each stepped machine is replaced by a fresh one.
+    fn reset_to_root(&mut self) {
+        while self.mem.steps() > self.base {
+            self.mem.undo_last();
         }
-        let runnable: Vec<usize> = (0..self.machines.len())
-            .filter(|&i| !self.machines[i].is_done() && self.crashed & (1 << i) == 0)
-            .collect();
-        if runnable.is_empty() {
-            // Degenerate scope (every op zero-step): exactly one worker
-            // checks the single empty schedule.
-            if worker == 0 {
-                self.dfs(0);
+        for idx in 0..self.ops.len() {
+            if !self.resp_log[idx].is_empty() {
+                self.resp_log[idx].clear();
+                self.machines[idx] = self.fresh_machine(idx);
             }
-            return;
         }
-        let saved = self.stats;
-        let infos: Vec<StepInfo> = runnable
-            .iter()
-            .map(|&idx| {
-                let info = self.step_forward(idx);
-                self.step_back(&info);
-                info
-            })
-            .collect();
-        self.stats = saved;
-        for (rank, &idx) in runnable.iter().enumerate() {
-            if rank % workers != worker {
-                continue;
-            }
-            let info = self.step_forward(idx);
-            debug_assert_eq!(info.obj, infos[rank].obj, "setup must be deterministic");
-            let child_sleep = if self.cfg.prune {
-                infos[..rank]
-                    .iter()
-                    .filter(|s| independent(s, &info))
-                    .fold(0u64, |m, s| m | 1 << s.idx)
-            } else {
-                0
-            };
-            self.dfs(child_sleep);
-            // Crash branch, exactly as in `dfs` (see the comment there).
-            if self.crashes_left > 0
-                && !info.was_last
-                && self.violation.is_none()
-                && !self.truncated
-                && !self.stopped()
-            {
-                self.crashes_left -= 1;
-                self.crashed |= 1 << idx;
-                self.stats.crash_branches += 1;
-                self.dfs(0);
-                self.crashed &= !(1 << idx);
-                self.crashes_left += 1;
-            }
-            self.step_back(&info);
-            if self.violation.is_some() || self.truncated || self.stopped() {
-                return;
+        self.first_step.fill(None);
+        self.completed_at.fill(None);
+        self.prefix.clear();
+        self.crashed = 0;
+        self.crashes_left = self.cfg.max_crashes;
+    }
+
+    /// One [`explore_parallel`] worker: searches queued subtrees until
+    /// the search is over, queueing any nodes it hands over.
+    fn work(&mut self, shared: &SharedSearch, workers: usize) {
+        while let Some(node) = shared.next_subtree(workers) {
+            self.search(&node);
+            if !self.handover.is_empty() {
+                shared.give(std::mem::take(&mut self.handover));
             }
         }
     }
@@ -624,7 +815,9 @@ impl Explorer<'_> {
 ///   deterministic (it is re-invoked to refill the machine pool). It may
 ///   pre-run seed operations solo before returning: exploration starts
 ///   from whatever state `setup` leaves, and recorded ticks are absolute
-///   positions in that memory's event log.
+///   positions in that memory's event log. Explorers call it once per
+///   machine rebuild at worst, so a scope with costly construction
+///   should build once and clone (see `ruo_scenario::explore_parts`).
 /// * `ops` — descriptions matching `setup`'s machines (same order).
 /// * `check` — called with each complete execution's history; returning
 ///   `false` marks the schedule as a violation and stops the search.
@@ -644,62 +837,44 @@ pub fn explore(
     check: &mut dyn FnMut(&History) -> bool,
     cfg: ExploreConfig,
 ) -> ExploreSummary {
+    assert_op_count(ops);
+    let mut explorer = Explorer::new(setup, ops, check, cfg, None);
+    explorer.dfs(0);
+    let outcome = explorer.into_outcome();
+    ExploreSummary {
+        schedules: outcome.tally.stats.schedules,
+        truncated: outcome.truncated,
+        worker_schedules: vec![outcome.tally.stats.schedules],
+        violation: outcome.violation,
+        violation_crashed: outcome.violation_crashed,
+        stats: outcome.tally.finish(),
+    }
+}
+
+fn assert_op_count(ops: &[ExploreOp]) {
     assert!(
         ops.len() <= 64,
         "explorer supports at most 64 operations, got {}",
         ops.len()
     );
-    let (mem, machines) = setup();
-    assert_eq!(machines.len(), ops.len(), "setup/ops arity mismatch");
-    let n = machines.len();
-    let base = mem.steps();
-    let mut explorer = Explorer {
-        setup,
-        ops,
-        check,
-        cfg,
-        shared: None,
-        mem,
-        base,
-        machines,
-        resp_log: vec![Vec::new(); n],
-        spare: (0..n).map(|_| Vec::new()).collect(),
-        first_step: vec![None; n],
-        completed_at: vec![None; n],
-        prefix: Vec::new(),
-        crashed: 0,
-        crashes_left: cfg.max_crashes,
-        schedules: 0,
-        truncated: false,
-        violation: None,
-        violation_crashed: Vec::new(),
-        stats: ExploreStats::default(),
-    };
-    explorer.dfs(0);
-    let mut stats = explorer.stats;
-    stats.schedules = explorer.schedules;
-    ExploreSummary {
-        schedules: explorer.schedules,
-        truncated: explorer.truncated,
-        violation: explorer.violation,
-        violation_crashed: explorer.violation_crashed,
-        stats,
-    }
 }
 
-/// Explores interleavings like [`explore`], but partitions the root
-/// branch frontier across `workers` OS threads (`std::thread::scope`).
+/// Explores interleavings like [`explore`], spreading the search over
+/// `workers` OS threads (`std::thread::scope`).
 ///
-/// Each worker builds its own memory and machines via `setup`, owns a
-/// per-worker sleep-set search over its share of the top-level
-/// branches (ranks `≡ worker (mod workers)` in the root's runnable
-/// order, each seeded with the sleep set the sequential search would
-/// give it), and the workers coordinate only through a shared schedule
-/// budget and a stop flag. The union of the workers' searches visits
-/// exactly the sequential node set, so the merged [`ExploreStats`]
-/// (fields summed, `peak_depth` maxed) reproduce a sequential
-/// [`explore`] of the same scope field-for-field — `tests` assert this
-/// and the W5 benchmark records it in `BENCH_explore.json`.
+/// The workers, each with its own memory and machines from `setup`,
+/// share a queue of subtrees; each queued subtree carries its prefix,
+/// sleep set, crashed mask and crash budget. The queue starts with the
+/// root. A worker that finds the queue empty raises a flag and waits;
+/// the first busy worker to see the flag stops searching below its own
+/// subtree's root and queues every node there it has not entered yet,
+/// so work moves to idle workers however unevenly sleep sets and crash
+/// branches shape the tree. A worker starts a subtree by replaying its
+/// prefix uncounted. Every node is counted by exactly one worker, so the
+/// merged [`ExploreStats`] (fields summed, `peak_depth` maxed) reproduce
+/// a sequential [`explore`] of the same scope field-for-field — `tests`
+/// assert this and the W5 benchmark gates on it.
+/// [`ExploreSummary::worker_schedules`] reports each worker's share.
 ///
 /// Differences from [`explore`]:
 ///
@@ -721,62 +896,26 @@ pub fn explore_parallel(
     cfg: ExploreConfig,
     workers: usize,
 ) -> ExploreSummary {
-    assert!(
-        ops.len() <= 64,
-        "explorer supports at most 64 operations, got {}",
-        ops.len()
-    );
+    assert_op_count(ops);
     let workers = workers.max(1);
-    let shared = SharedSearch {
-        schedules: AtomicUsize::new(0),
-        stop: AtomicBool::new(false),
-        truncated: AtomicBool::new(false),
-    };
-    struct WorkerResult {
-        schedules: usize,
-        violation: Option<Vec<ProcessId>>,
-        violation_crashed: Vec<ProcessId>,
-        stats: ExploreStats,
-    }
-    let results: Vec<WorkerResult> = std::thread::scope(|scope| {
+    let shared = SharedSearch::default();
+    shared.give(vec![Subtree {
+        prefix: Vec::new(),
+        sleep: 0,
+        crashed: 0,
+        crashes_left: cfg.max_crashes,
+    }]);
+    let results: Vec<Outcome> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
-            .map(|w| {
+            .map(|_| {
                 let shared = &shared;
                 scope.spawn(move || {
-                    let (mem, machines) = setup();
-                    assert_eq!(machines.len(), ops.len(), "setup/ops arity mismatch");
-                    let n = machines.len();
-                    let base = mem.steps();
+                    let _wake_on_panic = StopOnPanic(shared);
                     let mut local_check = |h: &History| check(h);
-                    let mut explorer = Explorer {
-                        setup,
-                        ops,
-                        check: &mut local_check,
-                        cfg,
-                        shared: Some(shared),
-                        mem,
-                        base,
-                        machines,
-                        resp_log: vec![Vec::new(); n],
-                        spare: (0..n).map(|_| Vec::new()).collect(),
-                        first_step: vec![None; n],
-                        completed_at: vec![None; n],
-                        prefix: Vec::new(),
-                        crashed: 0,
-                        crashes_left: cfg.max_crashes,
-                        schedules: 0,
-                        truncated: false,
-                        violation: None,
-                        violation_crashed: Vec::new(),
-                        stats: ExploreStats::default(),
-                    };
-                    explorer.run_root_partition(w, workers);
-                    WorkerResult {
-                        schedules: explorer.schedules,
-                        violation: explorer.violation,
-                        violation_crashed: explorer.violation_crashed,
-                        stats: explorer.stats,
-                    }
+                    let mut explorer =
+                        Explorer::new(setup, ops, &mut local_check, cfg, Some(shared));
+                    explorer.work(shared, workers);
+                    explorer.into_outcome()
                 })
             })
             .collect();
@@ -785,35 +924,39 @@ pub fn explore_parallel(
             .map(|h| h.join().expect("explore worker panicked"))
             .collect()
     });
-    let mut stats = ExploreStats::default();
-    let mut schedules = 0usize;
+    let mut total = Tally::default();
+    let mut worker_schedules = Vec::with_capacity(workers);
     let mut violation = None;
     let mut violation_crashed = Vec::new();
     for r in results {
-        schedules += r.schedules;
-        stats.pruned_branches += r.stats.pruned_branches;
-        stats.executed_steps += r.stats.executed_steps;
-        stats.replay_steps_saved += r.stats.replay_steps_saved;
-        stats.peak_depth = stats.peak_depth.max(r.stats.peak_depth);
-        stats.crash_branches += r.stats.crash_branches;
-        stats.reads += r.stats.reads;
-        stats.writes += r.stats.writes;
-        stats.cas_ok += r.stats.cas_ok;
-        stats.cas_fail += r.stats.cas_fail;
-        if violation.is_none() {
-            if let Some(v) = r.violation {
-                violation = Some(v);
-                violation_crashed = r.violation_crashed;
-            }
+        worker_schedules.push(r.tally.stats.schedules);
+        total.absorb(&r.tally);
+        if violation.is_none() && r.violation.is_some() {
+            violation = r.violation;
+            violation_crashed = r.violation_crashed;
         }
     }
-    stats.schedules = schedules;
     ExploreSummary {
-        schedules,
+        schedules: total.stats.schedules,
         truncated: shared.truncated.load(Ordering::Relaxed),
         violation,
         violation_crashed,
-        stats,
+        stats: total.finish(),
+        worker_schedules,
+    }
+}
+
+/// Stops a parallel search when a worker panics, so the others do not
+/// wait forever for subtrees it would have handed over.
+struct StopOnPanic<'a>(&'a SharedSearch);
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.stop.store(true, Ordering::Relaxed);
+            let _q = self.0.queue.lock();
+            self.0.wake.notify_all();
+        }
     }
 }
 
@@ -1597,7 +1740,8 @@ mod tests {
     fn parallel_explorer_reproduces_sequential_counts() {
         // Across prune × crash-budget × worker-count, the merged
         // parallel stats must equal the sequential run field for field:
-        // the root partition visits exactly the sequential node set.
+        // the workers together visit exactly the sequential node set,
+        // each node counted once, whichever worker searched it.
         let (setup, ops) = counter_setup(3);
         for prune in [false, true] {
             for max_crashes in [0, 1] {
@@ -1608,13 +1752,19 @@ mod tests {
                 };
                 let sequential = explore(&setup, &ops, &mut |_| true, cfg);
                 assert!(!sequential.truncated);
-                for workers in [1, 2, 4] {
+                for workers in [1, 2, 3, 4, 8] {
                     let parallel = explore_parallel(&setup, &ops, &|_| true, cfg, workers);
                     let ctx = format!("prune={prune} max_crashes={max_crashes} workers={workers}");
                     assert!(!parallel.truncated, "{ctx}: truncated");
                     assert!(parallel.violation.is_none(), "{ctx}: violation");
                     assert_eq!(parallel.schedules, sequential.schedules, "{ctx}");
                     assert_stats_eq(&parallel.stats, &sequential.stats, &ctx);
+                    assert_eq!(parallel.worker_schedules.len(), workers, "{ctx}");
+                    assert_eq!(
+                        parallel.worker_schedules.iter().sum::<usize>(),
+                        parallel.schedules,
+                        "{ctx}: worker shares"
+                    );
                 }
             }
         }
@@ -1697,5 +1847,35 @@ mod tests {
             "schedules={} budget={budget} workers={workers}",
             summary.schedules
         );
+    }
+
+    #[test]
+    fn spare_pools_stay_bounded() {
+        // Three CAS-loop increments with a crash budget backtrack
+        // thousands of times; every refill builds a machine for each
+        // op, but the pool keeps at most `SPARE_CAP` per op.
+        let (setup, ops) = counter_setup(3);
+        let calls = AtomicUsize::new(0);
+        let counting = || {
+            calls.fetch_add(1, Ordering::Relaxed);
+            setup()
+        };
+        let mut check = |_: &History| true;
+        let cfg = ExploreConfig {
+            max_schedules: 1_000_000,
+            prune: false,
+            max_crashes: 1,
+        };
+        let mut explorer = Explorer::new(&counting, &ops, &mut check, cfg, None);
+        explorer.dfs(0);
+        assert!(!explorer.truncated);
+        assert!(explorer.tally.stats.crash_branches > 0);
+        assert!(
+            calls.load(Ordering::Relaxed) > 10 * SPARE_CAP,
+            "the pool was refilled many times"
+        );
+        for pool in &explorer.spare {
+            assert!(pool.len() <= SPARE_CAP, "pool of {} machines", pool.len());
+        }
     }
 }

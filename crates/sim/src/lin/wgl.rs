@@ -151,7 +151,7 @@ pub fn check_interval(history: &History, spec: &SeqSpec) -> Result<(), Violation
 /// scalar read output `v` satisfies `V / k ≤ v ≤ V` against the spec
 /// value `V` at its linearization point, with no cap on history length.
 /// The search is identical to the exact one — only the output
-/// acceptance test ([`output_within_k`](super::output_within_k)) is
+/// acceptance test (`output_within_k`) is
 /// relaxed — so `k = 1` reduces bit-for-bit to [`check_interval`]'s
 /// verdicts, and [`check_exact_k`](super::check_exact_k) remains the
 /// ≤63-op differential oracle at every `k`.

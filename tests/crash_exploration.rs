@@ -14,7 +14,10 @@
 //!   checkers handling the pending operations crashes produce;
 //! * sleep-set pruning remains sound in the presence of crash branches:
 //!   the pruned and unpruned searches agree on the set of history
-//!   classes.
+//!   classes;
+//! * the checked-in N = 5 two-crash scope (W9) keeps its exact counts,
+//!   and the parallel explorer reproduces the sequential run at any
+//!   worker count.
 
 use std::sync::Arc;
 
@@ -24,7 +27,7 @@ use ruo::metrics::ExploreGauges;
 use ruo::scenario::{
     explore_parts, EngineKind, ExploreSpec, Family, OpKind, ScenarioOp, ScenarioSpec,
 };
-use ruo::sim::explore::{explore, ExploreConfig, ExploreOp};
+use ruo::sim::explore::{explore, explore_parallel, ExploreConfig, ExploreOp, ExploreStats};
 use ruo::sim::lin::{check_exact, check_max_register};
 use ruo::sim::spec::SeqSpec;
 use ruo::sim::{
@@ -353,4 +356,62 @@ fn crash_pruning_preserves_algorithm_a_history_classes() {
     // the crash budget strictly grows the schedule space.
     assert!(full_n > 132, "crash schedules missing: {full_n}");
     println!("N=2 crash soundness: {full_n} full vs {pruned_n} pruned schedules");
+}
+
+/// The checked-in W9 scope: Algorithm A at N = 5 with the § 4.5 fast
+/// path, a seeded root, three writers and two readers, two crashes.
+const W9_SCOPE: &str = include_str!(concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/scenarios/w9_explore_n5_2crash.json"
+));
+
+/// The W9 scope explored sequentially and by the parallel explorer at
+/// 2, 3 and 5 workers: every run finds no violation, reproduces the
+/// scope's exact counts, and the merged parallel counters equal the
+/// sequential ones field for field (`peak_depth` merges by max).
+#[test]
+fn w9_scope_counts_are_exact_at_every_worker_count() {
+    let spec = ScenarioSpec::parse(W9_SCOPE).expect("the W9 scope parses");
+    let espec = spec.explore.as_ref().expect("explore section");
+    let cfg = ExploreConfig {
+        max_schedules: espec.max_schedules,
+        prune: espec.prune,
+        max_crashes: espec.max_crashes,
+    };
+    let parts = explore_parts(&spec).unwrap();
+    let initial = parts.initial;
+    let check = |h: &History| check_max_register(h, initial).is_ok();
+    let sequential = explore(&*parts.setup, &parts.ops, &mut |h| check(h), cfg);
+    let expect_clean = |stats: &ExploreStats, violation: bool, truncated: bool, ctx: &str| {
+        assert!(!violation, "{ctx}: violation");
+        assert!(!truncated, "{ctx}: truncated");
+        assert_eq!(
+            (stats.schedules, stats.crash_branches, stats.pruned_branches),
+            (229_176, 199_254, 30_020),
+            "{ctx}: schedules / crash branches / pruned branches"
+        );
+    };
+    expect_clean(
+        &sequential.stats,
+        sequential.violation.is_some(),
+        sequential.truncated,
+        "sequential",
+    );
+    for workers in [2, 3, 5] {
+        let parallel = explore_parallel(&*parts.setup, &parts.ops, &check, cfg, workers);
+        let ctx = format!("{workers} workers");
+        expect_clean(
+            &parallel.stats,
+            parallel.violation.is_some(),
+            parallel.truncated,
+            &ctx,
+        );
+        assert_eq!(parallel.stats, sequential.stats, "{ctx}: merged stats");
+        assert_eq!(parallel.worker_schedules.len(), workers, "{ctx}");
+        assert_eq!(
+            parallel.worker_schedules.iter().sum::<usize>(),
+            parallel.schedules,
+            "{ctx}: worker shares"
+        );
+    }
 }
