@@ -19,7 +19,8 @@ use ruo_core::shape::AlgorithmATree;
 use ruo_sim::explore::{enumerate, ExploreOp};
 use ruo_sim::lin::check_max_register;
 use ruo_sim::{
-    cas, done, read, write, Machine, Memory, ObjId, OpDesc, ProcessId, Step, Word, NEG_INF,
+    cas, done, read, write, BoxedStep, Machine, Memory, ObjId, OpDesc, ProcessId, Step, Word,
+    NEG_INF,
 };
 
 type Levels = Arc<Vec<(ObjId, Option<ObjId>, Option<ObjId>)>>;
@@ -70,16 +71,18 @@ impl VariantRegister {
         let w = v as Word;
         let attempts = self.cas_attempts;
         let help = self.help_dominated && (v as u128) < self.tree.n() as u128;
-        let levels2 = Arc::clone(&levels);
         Machine::new(read(leaf_cell, move |old| {
             if w <= old {
                 if help {
-                    level(levels2, 0, 0, attempts)
+                    level(Arc::clone(&levels), 0, 0, attempts)
                 } else {
                     done(0)
                 }
             } else {
-                write(leaf_cell, w, move || level(levels, 0, 0, attempts))
+                let levels = Arc::clone(&levels);
+                write(leaf_cell, w, move || {
+                    level(Arc::clone(&levels), 0, 0, attempts)
+                })
             }
         }))
     }
@@ -95,22 +98,25 @@ fn level(levels: Levels, i: usize, attempt: u8, attempts: u8) -> Step {
         return done(0);
     }
     let (node, l, r) = levels[i];
-    let rd = move |o: Option<ObjId>, k: Box<dyn FnOnce(Word) -> Step + Send>| match o {
-        Some(o) => read(o, k),
+    let rd = |o: Option<ObjId>, k: BoxedStep| match o {
+        Some(o) => read(o, move |w| k(w)),
         None => k(NEG_INF),
     };
     read(node, move |old| {
+        let levels = Arc::clone(&levels);
         rd(
             l,
-            Box::new(move |lv| {
+            Arc::new(move |lv| {
+                let levels = Arc::clone(&levels);
                 rd(
                     r,
-                    Box::new(move |rv| {
+                    Arc::new(move |rv| {
+                        let levels = Arc::clone(&levels);
                         cas(node, old, lv.max(rv), move |_| {
                             if attempt + 1 < attempts {
-                                level(levels, i, attempt + 1, attempts)
+                                level(Arc::clone(&levels), i, attempt + 1, attempts)
                             } else {
-                                level(levels, i + 1, 0, attempts)
+                                level(Arc::clone(&levels), i + 1, 0, attempts)
                             }
                         })
                     }),

@@ -19,8 +19,9 @@
 //! Each sample also explores the W9 N = 5 / two-crash scope
 //! (`scenarios/w9_explore_n5_2crash.json`) twice: once with the spec's
 //! workers and once sequentially, for the parallel speedup (of the
-//! median times) and each worker's share of the schedules (last
-//! sample).
+//! median times), each worker's share of the schedules (last sample)
+//! and both runs' `schedules_per_s`, which `bench_compare`'s `_per_s`
+//! rule gates against the baseline.
 //!
 //! The harness is its own gate: after writing the JSON it exits 1
 //! unless pruning cuts the W5 schedule count, both parallel searches
@@ -179,6 +180,8 @@ fn main() {
     let n5_t = median(&mut n5_secs);
     let n5_serial_t = median(&mut n5_serial_secs);
     let n5_speedup = n5_serial_t / n5_t;
+    let n5_rate = n5.schedules as f64 / n5_t;
+    let n5_serial_rate = n5_serial.schedules as f64 / n5_serial_t;
     let n5_workers = n5_spec.explore.as_ref().expect("explore section").workers;
 
     let mut failures = Vec::new();
@@ -259,6 +262,10 @@ fn main() {
         n5_t * 1e3,
         n5_serial_t * 1e3
     );
+    println!(
+        "  N=5 throughput: {n5_rate:.0} schedules/s parallel, {n5_serial_rate:.0} schedules/s \
+         sequential"
+    );
     println!("  gauges: {gauges:?}");
 
     let json = format!(
@@ -273,7 +280,8 @@ fn main() {
          \"pruned_branches\": {}, \"executed_steps\": {}, \"replay_steps_saved\": {} }},\n  \
          \"n5_two_crash\": {{ \"workers\": {n5_workers}, \"schedules\": {}, \"crash_branches\": {}, \
          \"pruned_branches\": {}, \"seconds\": {n5_t:.6}, \"serial_seconds\": {n5_serial_t:.6}, \
-         \"speedup\": {n5_speedup:.3}, \"worker_schedules\": [{}] }},\n  \
+         \"speedup\": {n5_speedup:.3}, \"schedules_per_s\": {n5_rate:.0}, \
+         \"serial_schedules_per_s\": {n5_serial_rate:.0}, \"worker_schedules\": [{}] }},\n  \
          \"pruning_factor\": {factor:.3},\n  \"replay_savings_factor\": {replay_factor:.3}\n}}\n",
         full.schedules,
         pruned.schedules,

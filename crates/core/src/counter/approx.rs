@@ -191,7 +191,7 @@ fn collect(cells: Arc<Vec<ObjId>>, i: usize, acc: Word) -> Step {
         return done(acc);
     }
     let cell = cells[i];
-    read(cell, move |w| collect(cells, i + 1, acc + w))
+    read(cell, move |w| collect(Arc::clone(&cells), i + 1, acc + w))
 }
 
 impl SimCounter for SimApproxCounter {

@@ -6,11 +6,12 @@
 
 use std::sync::Arc;
 
-use ruo_sim::{cas, done, read, write, Machine, Memory, ObjId, ProcessId, Step, Word};
+use ruo_sim::{cas, done, read, write, BoxedStep, Machine, Memory, ObjId, ProcessId, Step, Word};
 
 use crate::maxreg::aac::AacShape;
-use crate::maxreg::sim::{aac_read_k, aac_write};
+use crate::maxreg::sim::{aac_read_k, aac_write, ValueK};
 use crate::shape::TreeShape;
+use crate::snapshot::sim::collect;
 
 /// A counter whose operations are simulator step machines.
 pub trait SimCounter: Send + Sync {
@@ -33,7 +34,7 @@ struct SumLevel {
     right: Option<ObjId>,
 }
 
-fn read_opt_zero(obj: Option<ObjId>, k: impl FnOnce(Word) -> Step + Send + 'static) -> Step {
+fn read_opt_zero(obj: Option<ObjId>, k: impl Fn(Word) -> Step + Send + Sync + 'static) -> Step {
     match obj {
         Some(o) => read(o, k),
         None => k(0),
@@ -48,13 +49,16 @@ fn propagate_sum(levels: Arc<Vec<SumLevel>>, i: usize, attempt: u8) -> Step {
     }
     let lv = levels[i];
     read(lv.node, move |old| {
+        let levels = Arc::clone(&levels);
         read_opt_zero(lv.left, move |l| {
+            let levels = Arc::clone(&levels);
             read_opt_zero(lv.right, move |r| {
+                let levels = Arc::clone(&levels);
                 cas(lv.node, old, l + r, move |_| {
                     if attempt == 0 {
-                        propagate_sum(levels, i, 1)
+                        propagate_sum(Arc::clone(&levels), i, 1)
                     } else {
-                        propagate_sum(levels, i + 1, 0)
+                        propagate_sum(Arc::clone(&levels), i + 1, 0)
                     }
                 })
             })
@@ -112,7 +116,10 @@ impl SimCounter for SimFArrayCounter {
             .collect();
         let levels = Arc::new(levels);
         Machine::new(read(leaf_cell, move |c| {
-            write(leaf_cell, c + 1, move || propagate_sum(levels, 0, 0))
+            let levels = Arc::clone(&levels);
+            write(leaf_cell, c + 1, move || {
+                propagate_sum(Arc::clone(&levels), 0, 0)
+            })
         }))
     }
 
@@ -124,17 +131,14 @@ impl SimCounter for SimFArrayCounter {
 
 /// Reads `cells[i..]` one step at a time, accumulating the sum into
 /// `acc`, then continues with the total.
-fn collect_sum(
-    cells: Arc<Vec<ObjId>>,
-    i: usize,
-    acc: Word,
-    k: Box<dyn FnOnce(Word) -> Step + Send>,
-) -> Step {
+fn collect_sum(cells: Arc<Vec<ObjId>>, i: usize, acc: Word, k: BoxedStep) -> Step {
     if i == cells.len() {
         return k(acc);
     }
     let cell = cells[i];
-    read(cell, move |w| collect_sum(cells, i + 1, acc + w, k))
+    read(cell, move |w| {
+        collect_sum(Arc::clone(&cells), i + 1, acc + w, Arc::clone(&k))
+    })
 }
 
 /// The combining counter's batch semantics as a *wait-free* step
@@ -180,22 +184,19 @@ impl SimCombiningCounter {
 /// One combine attempt: read the root, collect the announce array, CAS
 /// the batch sum in; `attempt` selects first or second try.
 fn combine_install(announce: Arc<Vec<ObjId>>, root: ObjId, attempt: u8) -> Step {
-    let cells = Arc::clone(&announce);
     read(root, move |old| {
-        collect_sum(
-            cells,
-            0,
-            0,
-            Box::new(move |sum| {
-                cas(root, old, sum, move |_| {
-                    if attempt == 0 {
-                        combine_install(announce, root, 1)
-                    } else {
-                        done(0)
-                    }
-                })
-            }),
-        )
+        let retry = Arc::clone(&announce);
+        let install: BoxedStep = Arc::new(move |sum| {
+            let retry = Arc::clone(&retry);
+            cas(root, old, sum, move |_| {
+                if attempt == 0 {
+                    combine_install(Arc::clone(&retry), root, 1)
+                } else {
+                    done(0)
+                }
+            })
+        });
+        collect_sum(Arc::clone(&announce), 0, 0, install)
     })
 }
 
@@ -209,7 +210,10 @@ impl SimCounter for SimCombiningCounter {
         let announce = Arc::clone(&self.announce);
         let root = self.root;
         Machine::new(read(cell, move |c| {
-            write(cell, c + 1, move || combine_install(announce, root, 0))
+            let announce = Arc::clone(&announce);
+            write(cell, c + 1, move || {
+                combine_install(Arc::clone(&announce), root, 0)
+            })
         }))
     }
 
@@ -252,7 +256,7 @@ impl SimCounter for SimShardedCounter {
     }
 
     fn read(&self, _pid: ProcessId) -> Machine {
-        Machine::new(collect_sum(Arc::clone(&self.stripes), 0, 0, Box::new(done)))
+        Machine::new(collect_sum(Arc::clone(&self.stripes), 0, 0, Arc::new(done)))
     }
 }
 
@@ -275,7 +279,7 @@ struct AacLevel {
     right: Child,
 }
 
-fn read_child(shape: Arc<AacShape>, child: Child, k: Box<dyn FnOnce(u64) -> Step + Send>) -> Step {
+fn read_child(shape: Arc<AacShape>, child: Child, k: ValueK) -> Step {
     match child {
         Child::None => k(0),
         Child::Leaf(cell) => read(cell, move |v| k(v as u64)),
@@ -290,26 +294,33 @@ fn aac_counter_up(shape: Arc<AacShape>, levels: Arc<Vec<AacLevel>>, i: usize) ->
     if i == levels.len() {
         return done(0);
     }
-    let lv = levels[i].clone();
-    let shape_l = Arc::clone(&shape);
+    let AacLevel {
+        switches,
+        left,
+        right,
+    } = levels[i].clone();
     read_child(
         Arc::clone(&shape),
-        lv.left,
-        Box::new(move |l| {
-            let shape_r = Arc::clone(&shape_l);
-            let switches = lv.switches;
+        left,
+        Arc::new(move |l| {
+            let (shape, levels, switches) = (
+                Arc::clone(&shape),
+                Arc::clone(&levels),
+                Arc::clone(&switches),
+            );
             read_child(
-                Arc::clone(&shape_l),
-                lv.right,
-                Box::new(move |r| {
-                    let root = shape_r.root();
-                    let shape_next = Arc::clone(&shape_r);
+                Arc::clone(&shape),
+                right.clone(),
+                Arc::new(move |r| {
+                    let (shape_next, levels) = (Arc::clone(&shape), Arc::clone(&levels));
                     aac_write(
-                        Arc::clone(&shape_r),
-                        switches,
-                        root,
+                        Arc::clone(&shape),
+                        Arc::clone(&switches),
+                        shape.root(),
                         l + r,
-                        Box::new(move || aac_counter_up(shape_next, levels, i + 1)),
+                        Arc::new(move || {
+                            aac_counter_up(Arc::clone(&shape_next), Arc::clone(&levels), i + 1)
+                        }),
                     )
                 }),
             )
@@ -403,7 +414,10 @@ impl SimCounter for SimAacCounter {
         let levels = Arc::new(levels);
         let shape = Arc::clone(&self.reg_shape);
         Machine::new(read(leaf_cell, move |c| {
-            write(leaf_cell, c + 1, move || aac_counter_up(shape, levels, 0))
+            let (shape, levels) = (Arc::clone(&shape), Arc::clone(&levels));
+            write(leaf_cell, c + 1, move || {
+                aac_counter_up(Arc::clone(&shape), Arc::clone(&levels), 0)
+            })
         }))
     }
 
@@ -422,7 +436,7 @@ impl SimCounter for SimAacCounter {
                     switches,
                     root,
                     0,
-                    Box::new(|v| done(v as Word)),
+                    Arc::new(|v| done(v as Word)),
                 ))
             }
             _ => unreachable!(),
@@ -503,34 +517,18 @@ impl SimSnapshotCounter {
     }
 }
 
-fn snapcount_collect(
-    segments: Arc<Vec<ObjId>>,
-    i: usize,
-    mut acc: Vec<Word>,
-    k: Box<dyn FnOnce(Vec<Word>) -> Step + Send>,
-) -> Step {
-    if i == segments.len() {
-        return k(acc);
-    }
-    let seg = segments[i];
-    read(seg, move |w| {
-        acc.push(w);
-        snapcount_collect(segments, i + 1, acc, k)
-    })
-}
-
 fn snapcount_scan_sum(segments: Arc<Vec<ObjId>>, prev: Option<Vec<Word>>) -> Step {
     let segs = Arc::clone(&segments);
-    snapcount_collect(
+    collect(
         segments,
         0,
         Vec::new(),
-        Box::new(move |cur| {
+        Arc::new(move |cur| {
             if prev.as_deref() == Some(cur.as_slice()) {
                 let sum: Word = cur.iter().map(|&w| w & 0xFFFF_FFFF).sum();
                 done(sum)
             } else {
-                snapcount_scan_sum(segs, Some(cur))
+                snapcount_scan_sum(Arc::clone(&segs), Some(cur))
             }
         }),
     )

@@ -33,7 +33,7 @@ pub struct SimFArray<A: Aggregation> {
 
 fn read_opt<A: Aggregation>(
     obj: Option<ObjId>,
-    k: impl FnOnce(Word) -> Step + Send + 'static,
+    k: impl Fn(Word) -> Step + Send + Sync + 'static,
 ) -> Step {
     match obj {
         Some(o) => read(o, k),
@@ -47,13 +47,16 @@ fn propagate_agg<A: Aggregation>(levels: Arc<Vec<AggLevel>>, i: usize, attempt: 
     }
     let lv = levels[i];
     read(lv.node, move |old| {
+        let levels = Arc::clone(&levels);
         read_opt::<A>(lv.left, move |l| {
+            let levels = Arc::clone(&levels);
             read_opt::<A>(lv.right, move |r| {
+                let levels = Arc::clone(&levels);
                 cas(lv.node, old, A::combine(l, r), move |_| {
                     if attempt == 0 {
-                        propagate_agg::<A>(levels, i, 1)
+                        propagate_agg::<A>(Arc::clone(&levels), i, 1)
                     } else {
-                        propagate_agg::<A>(levels, i + 1, 0)
+                        propagate_agg::<A>(Arc::clone(&levels), i + 1, 0)
                     }
                 })
             })
@@ -116,7 +119,10 @@ impl<A: Aggregation> SimFArray<A> {
             if new == old {
                 done(0)
             } else {
-                write(leaf_cell, new, move || propagate_agg::<A>(levels, 0, 0))
+                let levels = Arc::clone(&levels);
+                write(leaf_cell, new, move || {
+                    propagate_agg::<A>(Arc::clone(&levels), 0, 0)
+                })
             }
         }))
     }
@@ -156,7 +162,10 @@ impl<A: Aggregation> SimFArray<A> {
                 A::advances(old, value),
                 "non-monotone slot update {old} -> {value}"
             );
-            write(leaf_cell, value, move || propagate_agg::<A>(levels, 0, 0))
+            let levels = Arc::clone(&levels);
+            write(leaf_cell, value, move || {
+                propagate_agg::<A>(Arc::clone(&levels), 0, 0)
+            })
         }))
     }
 }

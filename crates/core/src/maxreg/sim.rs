@@ -29,12 +29,17 @@ pub trait SimMaxRegister: Send + Sync {
 
 /// Reads `obj` if present, otherwise continues immediately with `-∞`
 /// (missing children cost no step — they are local knowledge).
-fn read_opt(obj: Option<ObjId>, k: impl FnOnce(Word) -> Step + Send + 'static) -> Step {
+fn read_opt(obj: Option<ObjId>, k: impl Fn(Word) -> Step + Send + Sync + 'static) -> Step {
     match obj {
         Some(o) => read(o, k),
         None => k(NEG_INF),
     }
 }
+
+/// A shared continuation that takes no response.
+pub(crate) type K = Arc<dyn Fn() -> Step + Send + Sync>;
+/// A shared continuation receiving a value read from a sub-register.
+pub(crate) type ValueK = Arc<dyn Fn(u64) -> Step + Send + Sync>;
 
 /// One propagation level of Algorithm A: the parent cell and its two
 /// children's cells.
@@ -137,13 +142,16 @@ fn propagate(levels: Arc<Vec<Level>>, i: usize, attempt: u8) -> Step {
     }
     let lv = levels[i];
     read(lv.node, move |old| {
+        let levels = Arc::clone(&levels);
         read_opt(lv.left, move |l| {
+            let levels = Arc::clone(&levels);
             read_opt(lv.right, move |r| {
+                let levels = Arc::clone(&levels);
                 cas(lv.node, old, l.max(r), move |_| {
                     if attempt == 0 {
-                        propagate(levels, i, 1)
+                        propagate(Arc::clone(&levels), i, 1)
                     } else {
-                        propagate(levels, i + 1, 0)
+                        propagate(Arc::clone(&levels), i + 1, 0)
                     }
                 })
             })
@@ -157,20 +165,15 @@ fn propagate(levels: Arc<Vec<Level>>, i: usize, attempt: u8) -> Step {
 /// the scan finishes its climb with `Propagate` over the levels above it
 /// (`j + 1..`). If the scan reaches the bottom without a hit, the
 /// ordinary leaf body runs.
-fn elim_scan(
-    levels: Arc<Vec<Level>>,
-    j: usize,
-    w: Word,
-    body: Box<dyn FnOnce() -> Step + Send>,
-) -> Step {
+fn elim_scan(levels: Arc<Vec<Level>>, j: usize, w: Word, body: K) -> Step {
     let node = levels[j].node;
     read(node, move |x| {
         if x >= w {
-            propagate(levels, j + 1, 0)
+            propagate(Arc::clone(&levels), j + 1, 0)
         } else if j == 0 {
             body()
         } else {
-            elim_scan(levels, j - 1, w, body)
+            elim_scan(Arc::clone(&levels), j - 1, w, Arc::clone(&body))
         }
     })
 }
@@ -194,18 +197,20 @@ impl SimMaxRegister for SimTreeMaxRegister {
         // return is unsound there). TR leaves are single-writer: our own
         // earlier completed write covers us, so returning is safe.
         let help = (v as u128) < self.tree.n() as u128;
-        let body: Box<dyn FnOnce() -> Step + Send> = {
+        let body: K = {
             let levels = Arc::clone(&levels);
-            Box::new(move || {
+            Arc::new(move || {
+                let levels = Arc::clone(&levels);
                 read(leaf_cell, move |old| {
                     if w <= old {
                         if help {
-                            propagate(levels, 0, 0)
+                            propagate(Arc::clone(&levels), 0, 0)
                         } else {
                             done(0)
                         }
                     } else {
-                        write(leaf_cell, w, move || propagate(levels, 0, 0))
+                        let levels = Arc::clone(&levels);
+                        write(leaf_cell, w, move || propagate(Arc::clone(&levels), 0, 0))
                     }
                 })
             })
@@ -224,7 +229,7 @@ impl SimMaxRegister for SimTreeMaxRegister {
                     done(0)
                 } else if elimination && levels.len() > 1 {
                     let top = levels.len() - 2;
-                    elim_scan(levels, top, w, body)
+                    elim_scan(Arc::clone(&levels), top, w, Arc::clone(&body))
                 } else {
                     body()
                 }
@@ -284,9 +289,6 @@ impl SimAacMaxRegister {
     }
 }
 
-type K = Box<dyn FnOnce() -> Step + Send>;
-type ValueK = Box<dyn FnOnce(u64) -> Step + Send>;
-
 pub(crate) fn aac_write(
     shape: Arc<AacShape>,
     cells: Arc<Vec<ObjId>>,
@@ -301,14 +303,23 @@ pub(crate) fn aac_write(
     let sw_cell = cells[sw];
     if v >= node.half {
         // Write the right subregister, then set the switch.
-        let after: K = Box::new(move || write(sw_cell, 1, k));
+        let after: K = Arc::new(move || {
+            let k = Arc::clone(&k);
+            write(sw_cell, 1, move || k())
+        });
         aac_write(shape, cells, right, v - node.half, after)
     } else {
         read(sw_cell, move |s| {
             if s != 0 {
                 k() // dominated by a larger value already
             } else {
-                aac_write(shape, cells, left, v, k)
+                aac_write(
+                    Arc::clone(&shape),
+                    Arc::clone(&cells),
+                    left,
+                    v,
+                    Arc::clone(&k),
+                )
             }
         })
     }
@@ -327,16 +338,23 @@ pub(crate) fn aac_read_k(
     };
     let sw_cell = cells[sw];
     read(sw_cell, move |s| {
-        if s != 0 {
-            aac_read_k(shape, cells, right, base + node.half, k)
+        let (idx, base) = if s != 0 {
+            (right, base + node.half)
         } else {
-            aac_read_k(shape, cells, left, base, k)
-        }
+            (left, base)
+        };
+        aac_read_k(
+            Arc::clone(&shape),
+            Arc::clone(&cells),
+            idx,
+            base,
+            Arc::clone(&k),
+        )
     })
 }
 
 fn aac_read(shape: Arc<AacShape>, cells: Arc<Vec<ObjId>>, idx: usize, base: u64) -> Step {
-    aac_read_k(shape, cells, idx, base, Box::new(|v| done(v as Word)))
+    aac_read_k(shape, cells, idx, base, Arc::new(|v| done(v as Word)))
 }
 
 impl SimMaxRegister for SimAacMaxRegister {
@@ -356,7 +374,7 @@ impl SimMaxRegister for SimAacMaxRegister {
         let shape = Arc::clone(&self.shape);
         let cells = Arc::clone(&self.switches);
         let root = shape.root();
-        Machine::new(aac_write(shape, cells, root, v, Box::new(|| done(0))))
+        Machine::new(aac_write(shape, cells, root, v, Arc::new(|| done(0))))
     }
 
     fn read_max(&self, _pid: ProcessId) -> Machine {

@@ -7,6 +7,7 @@
 //! path-copying snapshots rely on wide registers / pointers and exist as
 //! real-atomics implementations only (see `DESIGN.md`).
 
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use ruo_sim::{done, read, write, Machine, Memory, ObjId, ProcessId, Step, Word};
@@ -40,13 +41,37 @@ fn unpack_val(word: Word) -> u64 {
     (word as u64) & 0xFFFF_FFFF
 }
 
+/// The vectors completed scans returned, behind their tokens.
+#[derive(Debug, Default)]
+struct ScanTable {
+    /// Each token's vector.
+    vectors: Vec<Vec<u64>>,
+    /// Each vector's token.
+    tokens: HashMap<Vec<u64>, Word>,
+}
+
+impl ScanTable {
+    /// The token for `vals`. Equal vectors share one token, so a scan's
+    /// completion is pure: run twice (say, on a cloned machine) it
+    /// returns the same token and leaves the table as the first run did.
+    fn token(&mut self, vals: Vec<u64>) -> Word {
+        if let Some(&token) = self.tokens.get(&vals) {
+            return token;
+        }
+        let token = self.vectors.len() as Word;
+        self.vectors.push(vals.clone());
+        self.tokens.insert(vals, token);
+        token
+    }
+}
+
 /// The double-collect snapshot as step machines: updates are exactly 2
 /// steps; scans take `2N` steps per attempt and retry until a clean
 /// double collect.
 #[derive(Debug)]
 pub struct SimDoubleCollectSnapshot {
     segments: Arc<Vec<ObjId>>,
-    results: Arc<Mutex<Vec<Vec<u64>>>>,
+    results: Arc<Mutex<ScanTable>>,
 }
 
 impl SimDoubleCollectSnapshot {
@@ -59,46 +84,43 @@ impl SimDoubleCollectSnapshot {
         assert!(n >= 1, "at least one segment required");
         SimDoubleCollectSnapshot {
             segments: Arc::new(mem.alloc_n(n, 0)),
-            results: Arc::new(Mutex::new(Vec::new())),
+            results: Arc::new(Mutex::new(ScanTable::default())),
         }
     }
 }
 
+/// A shared continuation receiving one collect's segment words.
+type CollectK = Arc<dyn Fn(Vec<Word>) -> Step + Send + Sync>;
+
 /// Reads segments `i..n` into `acc`, then continues with `k`.
-fn collect(
-    segments: Arc<Vec<ObjId>>,
-    i: usize,
-    mut acc: Vec<Word>,
-    k: Box<dyn FnOnce(Vec<Word>) -> Step + Send>,
-) -> Step {
+pub(crate) fn collect(segments: Arc<Vec<ObjId>>, i: usize, acc: Vec<Word>, k: CollectK) -> Step {
     if i == segments.len() {
         return k(acc);
     }
     let seg = segments[i];
     read(seg, move |w| {
+        let mut acc = acc.clone();
         acc.push(w);
-        collect(segments, i + 1, acc, k)
+        collect(Arc::clone(&segments), i + 1, acc, Arc::clone(&k))
     })
 }
 
 fn scan_attempt(
     segments: Arc<Vec<ObjId>>,
     prev: Option<Vec<Word>>,
-    results: Arc<Mutex<Vec<Vec<u64>>>>,
+    results: Arc<Mutex<ScanTable>>,
 ) -> Step {
     let segs = Arc::clone(&segments);
     collect(
         segments,
         0,
         Vec::new(),
-        Box::new(move |cur| {
+        Arc::new(move |cur| {
             if prev.as_deref() == Some(cur.as_slice()) {
-                let vals: Vec<u64> = cur.iter().map(|&w| unpack_val(w)).collect();
-                let mut table = results.lock().unwrap();
-                table.push(vals);
-                done(table.len() as Word - 1)
+                let vals = cur.iter().map(|&w| unpack_val(w)).collect();
+                done(results.lock().unwrap().token(vals))
             } else {
-                scan_attempt(segs, Some(cur), results)
+                scan_attempt(Arc::clone(&segs), Some(cur), Arc::clone(&results))
             }
         }),
     )
@@ -133,7 +155,7 @@ impl SimSnapshot for SimDoubleCollectSnapshot {
     }
 
     fn take_scan_result(&self, token: Word) -> Vec<u64> {
-        self.results.lock().unwrap()[token as usize].clone()
+        self.results.lock().unwrap().vectors[token as usize].clone()
     }
 }
 

@@ -971,8 +971,9 @@ pub fn run_real(spec: &ScenarioSpec, quick: bool) -> Result<ScenarioReport, Engi
 /// and the checker's initial value.
 pub struct ExploreParts {
     /// Returns a copy of the scope's seeded memory and a fresh machine
-    /// per op, built from one object constructed when the parts were
-    /// (`Sync` so [`explore_parallel`] workers can each call it).
+    /// per op, built from one object constructed when the parts were.
+    /// An explorer calls it once, and [`explore_parallel`] once per
+    /// worker (hence `Sync`).
     pub setup: Box<dyn Fn() -> (Memory, Vec<Machine>) + Sync>,
     /// One descriptor per machine.
     pub ops: Vec<ExploreOp>,
@@ -1030,10 +1031,10 @@ pub fn explore_parts(spec: &ScenarioSpec) -> Result<ExploreParts, EngineError> {
         ));
     }
     // Build the object and run the seed update once per scope, so bad
-    // capacities error here rather than panicking inside the search. The
-    // explorer calls `setup` on every machine-pool refill; each call
-    // clones the seeded memory and builds machines from the one object,
-    // so every call refers to the same `ObjId`s.
+    // capacities error here rather than panicking inside the search. Each
+    // `setup` call (one per explorer or worker) clones the seeded memory
+    // and builds machines from the one object, so every call refers to
+    // the same `ObjId`s.
     let (mut seeded, obj) = build_sim_object(spec)?;
     if let (Some(seed_v), SimObject::MaxReg(reg)) = (espec.seed_update, &obj) {
         run_solo(
@@ -1396,8 +1397,8 @@ mod tests {
 
     #[test]
     fn explore_setup_is_deterministic() {
-        // The explorer refills its machine pool by calling `setup` again
-        // and mixes those machines with the first call's memory, so
+        // Every parallel worker calls `setup` once and must search the
+        // same scope, and the canonical trace is a further call, so
         // every call must build the same seeded memory and the same
         // machines.
         let mut spec = ScenarioSpec::new("t", Family::MaxReg, "tree", EngineKind::Explore, 5);

@@ -10,17 +10,14 @@
 //! Two things keep the search scalable:
 //!
 //! * **Incremental execution.** The DFS never replays a prefix. Taking a
-//!   step applies one primitive; backtracking undoes it with
+//!   step applies one primitive and keeps the stepped machine as it was
+//!   before the step (machines are cheap, cloneable values: cloning one
+//!   bumps one reference count). Backtracking undoes the primitive with
 //!   [`Memory::undo_last`] (`O(1)` — each [`Event`](crate::Event) logs
-//!   the overwritten value) and rebuilds only the stepped machine by
-//!   re-feeding its recorded responses into a fresh machine from a pool
-//!   (continuations are `FnOnce`, so a consumed machine cannot be
-//!   rewound directly). The pool is refilled by calling `setup` again
-//!   and keeps at most a few spare machines per operation, so its size
-//!   does not grow with the search. Legacy full-prefix replay cost
+//!   the overwritten value) and puts the kept machine back, also `O(1)`.
+//!   `setup` runs once per search. Full-prefix replay costs
 //!   `O(tree-size × depth)` memory events; the incremental scheme costs
-//!   `O(tree-size)` plus the (per-process, usually much shorter) machine
-//!   re-feeds.
+//!   `O(tree-size)`.
 //!
 //! * **Independence-based pruning** (sleep sets, Godefroid-style),
 //!   enabled via [`ExploreConfig::prune`]. Two steps by different
@@ -89,20 +86,14 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use crate::history::{History, OpOutput, OpRecord};
-use crate::{Machine, Memory, ObjId, OpDesc, ProcessId, Word};
+use crate::{Machine, Memory, ObjId, OpDesc, ProcessId};
 
 /// Hard per-operation step cap: a machine exceeding this many steps in
 /// one schedule would make enumeration meaningless.
 const STEP_CAP: usize = 10_000;
 
-/// Most never-stepped machines the pool keeps per operation. A `setup`
-/// call yields one machine for every operation while a rebuild consumes
-/// one, so without a cap the surplus of rarely rebuilt operations would
-/// grow with the search.
-const SPARE_CAP: usize = 4;
-
-/// One process's single operation for exploration: a description plus a
-/// machine factory (invoked afresh for every schedule).
+/// One process's single operation for exploration, as histories record
+/// it (its machine comes from `setup`, in the same order).
 #[derive(Clone, Debug)]
 pub struct ExploreOp {
     /// The process performing the operation.
@@ -165,10 +156,11 @@ pub struct ExploreStats {
     pub pruned_branches: usize,
     /// Shared-memory events actually executed during the search.
     pub executed_steps: u64,
-    /// Memory events a full-prefix-replay explorer would have executed,
-    /// minus this search's actual cost (forward steps are counted by
-    /// `executed_steps`; machine re-feeds on backtrack are subtracted
-    /// here). A direct measure of what snapshot/restore saves.
+    /// Memory events a full-prefix-replay explorer would have executed
+    /// beyond `executed_steps`: it re-executes a node's whole prefix to
+    /// reach it, while this search pays one step per node and restores
+    /// state on backtrack in `O(1)`. A direct measure of what
+    /// snapshot/restore saves.
     pub replay_steps_saved: u64,
     /// Deepest DFS prefix reached (= longest schedule length).
     pub peak_depth: usize,
@@ -212,8 +204,10 @@ pub struct ExploreSummary {
     pub worker_schedules: Vec<usize>,
 }
 
-/// What the explorer remembers about one executed step, for undo and for
-/// the independence relation.
+/// What the explorer remembers about one executed step, for the
+/// independence relation. [`Explorer::step_forward`] pairs it with the
+/// stepped machine as it was before the step, which
+/// [`Explorer::step_back`] puts back.
 #[derive(Clone, Copy, Debug)]
 struct StepInfo {
     /// Index (into `ops`) of the process that stepped.
@@ -322,56 +316,33 @@ struct Subtree {
     crashes_left: usize,
 }
 
-/// Work counters as a search accumulates them. Replay savings are kept
-/// as two plain sums — what full-prefix replay would have executed and
-/// what machine re-feeds cost — and subtracted once in
-/// [`Tally::finish`], so the workers of [`explore_parallel`] add up to
-/// the sequential figure whatever order they searched in.
-#[derive(Clone, Copy, Default)]
-struct Tally {
-    /// Every counter except `replay_steps_saved`.
-    stats: ExploreStats,
-    /// Memory events a full-prefix-replay explorer would have executed
-    /// beyond the forward steps.
-    full_replay: u64,
-    /// Responses re-fed to rebuilt machines.
-    refeeds: u64,
-}
-
-impl Tally {
-    fn absorb(&mut self, other: &Tally) {
-        let (s, o) = (&mut self.stats, &other.stats);
-        s.schedules += o.schedules;
-        s.pruned_branches += o.pruned_branches;
-        s.executed_steps += o.executed_steps;
-        s.peak_depth = s.peak_depth.max(o.peak_depth);
-        s.crash_branches += o.crash_branches;
-        s.reads += o.reads;
-        s.writes += o.writes;
-        s.cas_ok += o.cas_ok;
-        s.cas_fail += o.cas_fail;
-        self.full_replay += other.full_replay;
-        self.refeeds += other.refeeds;
-    }
-
-    fn finish(self) -> ExploreStats {
-        ExploreStats {
-            replay_steps_saved: self.full_replay.saturating_sub(self.refeeds),
-            ..self.stats
-        }
+impl ExploreStats {
+    /// Adds another search's counters to these (`peak_depth` is maxed),
+    /// so the workers of [`explore_parallel`] add up to the sequential
+    /// figures whatever order they searched in.
+    fn absorb(&mut self, o: &ExploreStats) {
+        self.schedules += o.schedules;
+        self.pruned_branches += o.pruned_branches;
+        self.executed_steps += o.executed_steps;
+        self.replay_steps_saved += o.replay_steps_saved;
+        self.peak_depth = self.peak_depth.max(o.peak_depth);
+        self.crash_branches += o.crash_branches;
+        self.reads += o.reads;
+        self.writes += o.writes;
+        self.cas_ok += o.cas_ok;
+        self.cas_fail += o.cas_fail;
     }
 }
 
 /// What one search (a sequential run or a parallel worker) found.
 struct Outcome {
-    tally: Tally,
+    stats: ExploreStats,
     truncated: bool,
     violation: Option<Vec<ProcessId>>,
     violation_crashed: Vec<ProcessId>,
 }
 
 struct Explorer<'a> {
-    setup: &'a dyn Fn() -> (Memory, Vec<Machine>),
     ops: &'a [ExploreOp],
     check: &'a mut dyn FnMut(&History) -> bool,
     cfg: ExploreConfig,
@@ -383,13 +354,10 @@ struct Explorer<'a> {
     /// Event-log length when exploration started (setups may pre-run
     /// seed operations; those events are never undone).
     base: usize,
+    /// The machines `setup` built, restored by [`Explorer::reset_to_root`].
+    initial: Vec<Machine>,
     /// Current machine state per operation.
     machines: Vec<Machine>,
-    /// Responses fed to each machine so far, for rebuild on backtrack.
-    resp_log: Vec<Vec<Word>>,
-    /// Pool of fresh (never-stepped) machines per operation, refilled by
-    /// extra `setup` calls and capped at [`SPARE_CAP`] each.
-    spare: Vec<Vec<Machine>>,
     /// Tick of each operation's first event, if it has stepped.
     first_step: Vec<Option<usize>>,
     /// Tick just after each operation's last event, if it completed by
@@ -409,16 +377,23 @@ struct Explorer<'a> {
     handing_over: bool,
     /// Nodes recorded for other workers.
     handover: Vec<Subtree>,
+    /// The explored siblings of every node on the current DFS path, each
+    /// node's after those of its ancestors: one buffer reused by every
+    /// node instead of a list allocated per node.
+    explored: Vec<StepInfo>,
+    /// The current schedule's history, rebuilt in place for each one.
+    history: History,
     truncated: bool,
     violation: Option<Vec<ProcessId>>,
     violation_crashed: Vec<ProcessId>,
-    tally: Tally,
+    stats: ExploreStats,
 }
 
 impl<'a> Explorer<'a> {
-    /// An explorer at the root of the scope `setup` builds.
+    /// An explorer at the root of the scope `setup` builds (its only
+    /// `setup` call).
     fn new(
-        setup: &'a dyn Fn() -> (Memory, Vec<Machine>),
+        setup: &dyn Fn() -> (Memory, Vec<Machine>),
         ops: &'a [ExploreOp],
         check: &'a mut dyn FnMut(&History) -> bool,
         cfg: ExploreConfig,
@@ -428,16 +403,14 @@ impl<'a> Explorer<'a> {
         assert_eq!(machines.len(), ops.len(), "setup/ops arity mismatch");
         let n = machines.len();
         Explorer {
-            setup,
             ops,
             check,
             cfg,
             shared,
             base: mem.steps(),
             mem,
+            initial: machines.clone(),
             machines,
-            resp_log: vec![Vec::new(); n],
-            spare: (0..n).map(|_| Vec::new()).collect(),
             first_step: vec![None; n],
             completed_at: vec![None; n],
             prefix: Vec::new(),
@@ -446,30 +419,34 @@ impl<'a> Explorer<'a> {
             root_depth: 0,
             handing_over: false,
             handover: Vec::new(),
+            explored: Vec::new(),
+            history: History::new(),
             truncated: false,
             violation: None,
             violation_crashed: Vec::new(),
-            tally: Tally::default(),
+            stats: ExploreStats::default(),
         }
     }
 
     fn into_outcome(self) -> Outcome {
         Outcome {
-            tally: self.tally,
+            stats: self.stats,
             truncated: self.truncated,
             violation: self.violation,
             violation_crashed: self.violation_crashed,
         }
     }
 
-    /// Executes one step of operation `idx` against `mem`, recording
-    /// everything needed to undo it.
-    fn step_forward(&mut self, idx: usize) -> StepInfo {
-        let prim = self.machines[idx].enabled().expect("runnable step exists");
+    /// Executes one step of operation `idx` against `mem`. Returns what
+    /// the independence relation needs to know about the step, and the
+    /// machine as it was before the step, for [`Explorer::step_back`].
+    fn step_forward(&mut self, idx: usize) -> (StepInfo, Machine) {
+        let before = self.machines[idx].clone();
+        let prim = before.enabled().expect("runnable step exists");
         let was_first = self.first_step[idx].is_none();
         let t = self.mem.steps();
         let resp = self.mem.apply(self.ops[idx].pid, prim);
-        let stats = &mut self.tally.stats;
+        let stats = &mut self.stats;
         stats.executed_steps += 1;
         if prim.is_read() {
             stats.reads += 1;
@@ -481,7 +458,6 @@ impl<'a> Explorer<'a> {
             stats.cas_fail += 1;
         }
         let finished = self.machines[idx].feed(resp);
-        self.resp_log[idx].push(resp);
         if was_first {
             self.first_step[idx] = Some(t);
         }
@@ -493,65 +469,40 @@ impl<'a> Explorer<'a> {
             "operation exceeded the exploration step cap"
         );
         self.prefix.push(idx);
-        StepInfo {
+        let info = StepInfo {
             idx,
             obj: prim.obj(),
             is_read: prim.is_read(),
             was_first,
             was_last: finished,
-        }
+        };
+        (info, before)
     }
 
-    /// Undoes the step described by `info`: the memory event is reversed
-    /// in `O(1)` and the stepped machine is rebuilt from a fresh machine
-    /// by re-feeding its remaining recorded responses.
-    fn step_back(&mut self, info: &StepInfo) {
+    /// Undoes the step described by `info` in `O(1)`: the memory event is
+    /// reversed and the stepped machine is replaced by `before`, the
+    /// machine [`Explorer::step_forward`] returned with `info`.
+    fn step_back(&mut self, info: &StepInfo, before: Machine) {
         self.prefix.pop();
         let idx = info.idx;
         self.mem.undo_last();
-        self.resp_log[idx].pop();
         if info.was_last {
             self.completed_at[idx] = None;
         }
         if info.was_first {
             self.first_step[idx] = None;
         }
-        let mut m = self.fresh_machine(idx);
-        for &resp in &self.resp_log[idx] {
-            m.feed(resp);
-        }
-        self.tally.refeeds += self.resp_log[idx].len() as u64;
-        self.machines[idx] = m;
-    }
-
-    /// A never-stepped machine for operation `idx`, from the pool —
-    /// refilled by calling `setup` again (deterministic by contract; the
-    /// memory it builds and any machine beyond [`SPARE_CAP`] per
-    /// operation are dropped).
-    fn fresh_machine(&mut self, idx: usize) -> Machine {
-        if let Some(m) = self.spare[idx].pop() {
-            return m;
-        }
-        let (_, machines) = (self.setup)();
-        assert_eq!(machines.len(), self.ops.len(), "setup/ops arity mismatch");
-        let mut fresh = None;
-        for (j, m) in machines.into_iter().enumerate() {
-            if j == idx {
-                fresh = Some(m);
-            } else if self.spare[j].len() < SPARE_CAP {
-                self.spare[j].push(m);
-            }
-        }
-        fresh.expect("setup provides one machine per op")
+        self.machines[idx] = before;
     }
 
     /// The child's sleep set after executing `info`: every process asleep
     /// at this node (inherited or an already-explored sibling) stays
-    /// asleep iff its deferred step is independent of `info`.
-    fn child_sleep(&self, asleep: u64, explored: &[StepInfo], info: &StepInfo) -> u64 {
+    /// asleep iff its deferred step is independent of `info`. The node's
+    /// already-explored siblings are `self.explored[siblings..]`.
+    fn child_sleep(&self, asleep: u64, siblings: usize, info: &StepInfo) -> u64 {
         let mut out = 0u64;
         let mut explored_mask = 0u64;
-        for s in explored {
+        for s in &self.explored[siblings..] {
             explored_mask |= 1 << s.idx;
             if independent(s, info) {
                 out |= 1 << s.idx;
@@ -577,54 +528,50 @@ impl<'a> Explorer<'a> {
         out
     }
 
-    /// Builds the history of the (complete) current schedule. Crashed
-    /// operations become *pending* records: invoked at their first
-    /// event's tick, no response, no output (crash branches only fire
-    /// after an operation's own event, so a crashed operation was always
-    /// invoked).
-    fn build_history(&self) -> History {
-        let mut recs: Vec<OpRecord> = self
-            .ops
-            .iter()
-            .enumerate()
-            .map(|(i, op)| {
-                let machine = &self.machines[i];
-                if self.crashed & (1 << i) != 0 {
-                    let invoke = self.first_step[i].expect("crashed op took an event");
-                    debug_assert!(self.completed_at[i].is_none());
-                    return OpRecord {
-                        pid: op.pid,
-                        desc: op.desc.clone(),
-                        invoke,
-                        response: None,
-                        output: None,
-                        steps: machine.steps(),
-                    };
-                }
-                let output = if op.returns_value {
-                    OpOutput::Value(machine.result().expect("complete schedule has results"))
-                } else {
-                    OpOutput::Unit
-                };
-                let invoke = self.first_step[i].unwrap_or(self.base);
-                // Completion consumes a tick: a zero-step operation
-                // occupies the virtual interval [invoke, invoke + 1], so
-                // `response > invoke` holds for every record (see the
-                // invariant on `OpRecord::invoke`).
-                let response = self.completed_at[i].unwrap_or(invoke + 1);
-                debug_assert!(response > invoke);
-                OpRecord {
+    /// Builds the history of the (complete) current schedule into
+    /// `self.history`, reusing its buffer. Crashed operations become
+    /// *pending* records: invoked at their first event's tick, no
+    /// response, no output (crash branches only fire after an
+    /// operation's own event, so a crashed operation was always invoked).
+    fn build_history(&mut self) {
+        let recs = self.history.clear_for_rebuild();
+        for (i, op) in self.ops.iter().enumerate() {
+            let machine = &self.machines[i];
+            if self.crashed & (1 << i) != 0 {
+                let invoke = self.first_step[i].expect("crashed op took an event");
+                debug_assert!(self.completed_at[i].is_none());
+                recs.push(OpRecord {
                     pid: op.pid,
                     desc: op.desc.clone(),
                     invoke,
-                    response: Some(response),
-                    output: Some(output),
+                    response: None,
+                    output: None,
                     steps: machine.steps(),
-                }
-            })
-            .collect();
+                });
+                continue;
+            }
+            let output = if op.returns_value {
+                OpOutput::Value(machine.result().expect("complete schedule has results"))
+            } else {
+                OpOutput::Unit
+            };
+            let invoke = self.first_step[i].unwrap_or(self.base);
+            // Completion consumes a tick: a zero-step operation occupies
+            // the virtual interval [invoke, invoke + 1], so
+            // `response > invoke` holds for every record (see the
+            // invariant on `OpRecord::invoke`).
+            let response = self.completed_at[i].unwrap_or(invoke + 1);
+            debug_assert!(response > invoke);
+            recs.push(OpRecord {
+                pid: op.pid,
+                desc: op.desc.clone(),
+                invoke,
+                response: Some(response),
+                output: Some(output),
+                steps: machine.steps(),
+            });
+        }
         recs.sort_by_key(|r| r.invoke);
-        recs.into_iter().collect()
     }
 
     /// Whether another worker already stopped the search (violation or
@@ -638,7 +585,7 @@ impl<'a> Explorer<'a> {
     fn budget_exhausted(&self) -> bool {
         let done = match self.shared {
             Some(s) => s.schedules.load(Ordering::Relaxed),
-            None => self.tally.stats.schedules,
+            None => self.stats.schedules,
         };
         done >= self.cfg.max_schedules
     }
@@ -679,24 +626,27 @@ impl<'a> Explorer<'a> {
             });
             return;
         }
-        self.tally.stats.peak_depth = self.tally.stats.peak_depth.max(depth);
+        self.stats.peak_depth = self.stats.peak_depth.max(depth);
         if depth > 0 {
             // A full-prefix-replay explorer re-executes the whole prefix
             // to reach this node; the incremental scheme paid one step.
-            self.tally.full_replay += (depth - 1) as u64;
+            self.stats.replay_steps_saved += (depth - 1) as u64;
         }
-        let runnable: Vec<usize> = (0..self.machines.len())
-            .filter(|&i| !self.machines[i].is_done() && self.crashed & (1 << i) == 0)
-            .collect();
-        if runnable.is_empty() {
+        let mut runnable = 0u64;
+        for (i, m) in self.machines.iter().enumerate() {
+            if !m.is_done() && self.crashed & (1 << i) == 0 {
+                runnable |= 1 << i;
+            }
+        }
+        if runnable == 0 {
             // Complete schedule (every op done or crashed): build the
             // history and check it.
-            self.tally.stats.schedules += 1;
+            self.stats.schedules += 1;
             if let Some(s) = self.shared {
                 s.schedules.fetch_add(1, Ordering::Relaxed);
             }
-            let history = self.build_history();
-            if !(self.check)(&history) {
+            self.build_history();
+            if !(self.check)(&self.history) {
                 self.violation = Some(self.prefix.iter().map(|&i| self.ops[i].pid).collect());
                 self.violation_crashed = (0..self.ops.len())
                     .filter(|&i| self.crashed & (1 << i) != 0)
@@ -709,15 +659,17 @@ impl<'a> Explorer<'a> {
             return;
         }
         let mut asleep = sleep;
-        let mut explored: Vec<StepInfo> = Vec::new();
-        for &idx in &runnable {
+        let siblings = self.explored.len();
+        while runnable != 0 {
+            let idx = runnable.trailing_zeros() as usize;
+            runnable &= runnable - 1;
             if self.cfg.prune && asleep & (1 << idx) != 0 {
-                self.tally.stats.pruned_branches += 1;
+                self.stats.pruned_branches += 1;
                 continue;
             }
-            let info = self.step_forward(idx);
+            let (info, before) = self.step_forward(idx);
             let child_sleep = if self.cfg.prune {
-                self.child_sleep(asleep, &explored, &info)
+                self.child_sleep(asleep, siblings, &info)
             } else {
                 0
             };
@@ -736,20 +688,21 @@ impl<'a> Explorer<'a> {
             {
                 self.crashes_left -= 1;
                 self.crashed |= 1 << idx;
-                self.tally.stats.crash_branches += 1;
+                self.stats.crash_branches += 1;
                 self.dfs(0);
                 self.crashed &= !(1 << idx);
                 self.crashes_left += 1;
             }
-            self.step_back(&info);
+            self.step_back(&info, before);
             if self.halted() {
-                return;
+                break;
             }
             // Subsequent siblings may defer idx's step until something
             // dependent on it executes.
             asleep |= 1 << idx;
-            explored.push(info);
+            self.explored.push(info);
         }
+        self.explored.truncate(siblings);
     }
 
     /// Whether an idle worker is waiting for work this search should
@@ -765,11 +718,11 @@ impl<'a> Explorer<'a> {
     /// replay nor the return is counted — the worker that recorded the
     /// node already counted the steps to it.
     fn search(&mut self, node: &Subtree) {
-        let saved = self.tally;
+        let saved = self.stats;
         for &idx in &node.prefix {
             self.step_forward(idx);
         }
-        self.tally = saved;
+        self.stats = saved;
         self.crashed = node.crashed;
         self.crashes_left = node.crashes_left;
         self.root_depth = node.prefix.len();
@@ -779,17 +732,13 @@ impl<'a> Explorer<'a> {
     }
 
     /// Undoes every step of the current prefix at once: memory events
-    /// are reversed and each stepped machine is replaced by a fresh one.
+    /// are reversed and every machine is restored to the one `setup`
+    /// built.
     fn reset_to_root(&mut self) {
         while self.mem.steps() > self.base {
             self.mem.undo_last();
         }
-        for idx in 0..self.ops.len() {
-            if !self.resp_log[idx].is_empty() {
-                self.resp_log[idx].clear();
-                self.machines[idx] = self.fresh_machine(idx);
-            }
-        }
+        self.machines.clone_from_slice(&self.initial);
         self.first_step.fill(None);
         self.completed_at.fill(None);
         self.prefix.clear();
@@ -811,13 +760,12 @@ impl<'a> Explorer<'a> {
 
 /// Explores interleavings of one-shot operations under `cfg`.
 ///
-/// * `setup` — builds a fresh memory and machines; must be
-///   deterministic (it is re-invoked to refill the machine pool). It may
-///   pre-run seed operations solo before returning: exploration starts
-///   from whatever state `setup` leaves, and recorded ticks are absolute
-///   positions in that memory's event log. Explorers call it once per
-///   machine rebuild at worst, so a scope with costly construction
-///   should build once and clone (see `ruo_scenario::explore_parts`).
+/// * `setup` — builds a fresh memory and machines. It runs exactly once
+///   per search (once per worker under [`explore_parallel`]); machines
+///   are cloned and restored, never rebuilt. It may pre-run seed
+///   operations solo before returning: exploration starts from whatever
+///   state `setup` leaves, and recorded ticks are absolute positions in
+///   that memory's event log.
 /// * `ops` — descriptions matching `setup`'s machines (same order).
 /// * `check` — called with each complete execution's history; returning
 ///   `false` marks the schedule as a violation and stops the search.
@@ -842,12 +790,12 @@ pub fn explore(
     explorer.dfs(0);
     let outcome = explorer.into_outcome();
     ExploreSummary {
-        schedules: outcome.tally.stats.schedules,
+        schedules: outcome.stats.schedules,
         truncated: outcome.truncated,
-        worker_schedules: vec![outcome.tally.stats.schedules],
+        worker_schedules: vec![outcome.stats.schedules],
         violation: outcome.violation,
         violation_crashed: outcome.violation_crashed,
-        stats: outcome.tally.finish(),
+        stats: outcome.stats,
     }
 }
 
@@ -924,24 +872,24 @@ pub fn explore_parallel(
             .map(|h| h.join().expect("explore worker panicked"))
             .collect()
     });
-    let mut total = Tally::default();
+    let mut total = ExploreStats::default();
     let mut worker_schedules = Vec::with_capacity(workers);
     let mut violation = None;
     let mut violation_crashed = Vec::new();
     for r in results {
-        worker_schedules.push(r.tally.stats.schedules);
-        total.absorb(&r.tally);
+        worker_schedules.push(r.stats.schedules);
+        total.absorb(&r.stats);
         if violation.is_none() && r.violation.is_some() {
             violation = r.violation;
             violation_crashed = r.violation_crashed;
         }
     }
     ExploreSummary {
-        schedules: total.stats.schedules,
+        schedules: total.schedules,
         truncated: shared.truncated.load(Ordering::Relaxed),
         violation,
         violation_crashed,
-        stats: total.finish(),
+        stats: total,
         worker_schedules,
     }
 }
@@ -1850,32 +1798,35 @@ mod tests {
     }
 
     #[test]
-    fn spare_pools_stay_bounded() {
+    fn setup_runs_once_per_worker() {
         // Three CAS-loop increments with a crash budget backtrack
-        // thousands of times; every refill builds a machine for each
-        // op, but the pool keeps at most `SPARE_CAP` per op.
+        // thousands of times. Backtracking restores the stepped machine
+        // and `reset_to_root` restores the initial ones, so `setup` runs
+        // once per search: once for `explore`, once per worker for
+        // `explore_parallel`.
         let (setup, ops) = counter_setup(3);
         let calls = AtomicUsize::new(0);
         let counting = || {
             calls.fetch_add(1, Ordering::Relaxed);
             setup()
         };
-        let mut check = |_: &History| true;
         let cfg = ExploreConfig {
             max_schedules: 1_000_000,
             prune: false,
             max_crashes: 1,
         };
-        let mut explorer = Explorer::new(&counting, &ops, &mut check, cfg, None);
-        explorer.dfs(0);
-        assert!(!explorer.truncated);
-        assert!(explorer.tally.stats.crash_branches > 0);
-        assert!(
-            calls.load(Ordering::Relaxed) > 10 * SPARE_CAP,
-            "the pool was refilled many times"
-        );
-        for pool in &explorer.spare {
-            assert!(pool.len() <= SPARE_CAP, "pool of {} machines", pool.len());
+        let sequential = explore(&counting, &ops, &mut |_| true, cfg);
+        assert!(!sequential.truncated);
+        assert!(sequential.stats.crash_branches > 0);
+        assert_eq!(calls.swap(0, Ordering::Relaxed), 1, "explore");
+        for workers in [1, 2, 4] {
+            let parallel = explore_parallel(&counting, &ops, &|_| true, cfg, workers);
+            assert_eq!(parallel.schedules, sequential.schedules);
+            assert_eq!(
+                calls.swap(0, Ordering::Relaxed),
+                workers,
+                "explore_parallel with {workers} workers"
+            );
         }
     }
 }

@@ -171,6 +171,14 @@ impl History {
         self.ops.push(rec);
     }
 
+    /// Empties the history and hands out its record buffer to refill in
+    /// place, keeping the allocation. The caller must leave the records
+    /// in invocation order.
+    pub(crate) fn clear_for_rebuild(&mut self) -> &mut Vec<OpRecord> {
+        self.ops.clear();
+        &mut self.ops
+    }
+
     /// All records in invocation order.
     pub fn ops(&self) -> &[OpRecord] {
         &self.ops

@@ -9,6 +9,15 @@
 //! process has not completed its operation, it has exactly one enabled
 //! event").
 //!
+//! Continuations are shared (`Arc`) and re-callable (`Fn`), so a
+//! [`Step`] — and with it a [`Machine`] — is a cheap, cloneable value:
+//! the explorer keeps the machine it stepped and puts it back on
+//! backtrack. This makes one demand on algorithm code: **a continuation
+//! must be pure.** Called twice with the same response it must return
+//! the same next step, and it must not change state outside the machine
+//! (a closure that captures an `Arc` clones it before nesting it in the
+//! next closure rather than moving it out).
+//!
 //! ```
 //! use ruo_sim::{read, cas, done, Machine, Memory, ProcessId, Step, ObjId, Word};
 //!
@@ -34,14 +43,17 @@
 //! ```
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::{ObjId, Prim, Word};
 
-/// The continuation of an operation after one event's response.
-pub type BoxedStep = Box<dyn FnOnce(Word) -> Step + Send>;
+/// The continuation of an operation after one event's response: shared
+/// and re-callable, so cloning a [`Step`] is one reference-count bump.
+pub type BoxedStep = Arc<dyn Fn(Word) -> Step + Send + Sync>;
 
 /// The state of an in-progress operation: either one enabled event plus a
 /// continuation, or a completed operation with its result.
+#[derive(Clone)]
 pub enum Step {
     /// The operation's next (unique) enabled event, and what to do with
     /// its response.
@@ -65,18 +77,18 @@ impl fmt::Debug for Step {
 }
 
 /// A pending `read` event; `k` receives the value read.
-pub fn read(obj: ObjId, k: impl FnOnce(Word) -> Step + Send + 'static) -> Step {
+pub fn read(obj: ObjId, k: impl Fn(Word) -> Step + Send + Sync + 'static) -> Step {
     Step::Pending {
         prim: Prim::Read(obj),
-        k: Box::new(k),
+        k: Arc::new(k),
     }
 }
 
 /// A pending `write` event; `k` runs after the write is applied.
-pub fn write(obj: ObjId, value: Word, k: impl FnOnce() -> Step + Send + 'static) -> Step {
+pub fn write(obj: ObjId, value: Word, k: impl Fn() -> Step + Send + Sync + 'static) -> Step {
     Step::Pending {
         prim: Prim::Write(obj, value),
-        k: Box::new(move |_| k()),
+        k: Arc::new(move |_| k()),
     }
 }
 
@@ -86,11 +98,11 @@ pub fn cas(
     obj: ObjId,
     expected: Word,
     new: Word,
-    k: impl FnOnce(Word) -> Step + Send + 'static,
+    k: impl Fn(Word) -> Step + Send + Sync + 'static,
 ) -> Step {
     Step::Pending {
         prim: Prim::Cas { obj, expected, new },
-        k: Box::new(k),
+        k: Arc::new(k),
     }
 }
 
@@ -105,9 +117,14 @@ pub fn done(result: Word) -> Step {
 /// process). The scheduler asks for the [`enabled`](Machine::enabled)
 /// event, applies it to memory, and [`feed`](Machine::feed)s the response
 /// back. The number of `feed` calls is the operation's step count.
-#[derive(Debug)]
+///
+/// Cloning a machine copies its state, not its history: the clone and the
+/// original then advance independently, and feeding both the same
+/// responses drives both through the same steps (continuations are pure;
+/// see the module docs).
+#[derive(Clone, Debug)]
 pub struct Machine {
-    state: Option<Step>,
+    state: Step,
     steps: usize,
 }
 
@@ -115,23 +132,20 @@ impl Machine {
     /// Wraps an operation's initial step.
     pub fn new(initial: Step) -> Self {
         Machine {
-            state: Some(initial),
+            state: initial,
             steps: 0,
         }
     }
 
     /// A machine that is already done (for zero-step operations).
     pub fn completed(result: Word) -> Self {
-        Machine {
-            state: Some(Step::Done(result)),
-            steps: 0,
-        }
+        Machine::new(Step::Done(result))
     }
 
     /// The operation's unique enabled event, or `None` if it has
     /// completed.
     pub fn enabled(&self) -> Option<Prim> {
-        match self.state.as_ref().expect("machine state present") {
+        match &self.state {
             Step::Pending { prim, .. } => Some(*prim),
             Step::Done(_) => None,
         }
@@ -139,14 +153,14 @@ impl Machine {
 
     /// Whether the operation has completed.
     pub fn is_done(&self) -> bool {
-        matches!(self.state.as_ref(), Some(Step::Done(_)))
+        matches!(self.state, Step::Done(_))
     }
 
     /// The operation's result, if completed.
     pub fn result(&self) -> Option<Word> {
-        match self.state.as_ref() {
-            Some(Step::Done(v)) => Some(*v),
-            _ => None,
+        match self.state {
+            Step::Done(v) => Some(v),
+            Step::Pending { .. } => None,
         }
     }
 
@@ -163,16 +177,12 @@ impl Machine {
     ///
     /// Panics if the operation has already completed.
     pub fn feed(&mut self, resp: Word) -> bool {
-        match self.state.take().expect("machine state present") {
-            Step::Pending { k, .. } => {
-                self.steps += 1;
-                let next = k(resp);
-                let finished = matches!(next, Step::Done(_));
-                self.state = Some(next);
-                finished
-            }
-            Step::Done(_) => panic!("feed called on a completed operation"),
-        }
+        let Step::Pending { k, .. } = &self.state else {
+            panic!("feed called on a completed operation");
+        };
+        self.state = k(resp);
+        self.steps += 1;
+        self.is_done()
     }
 }
 

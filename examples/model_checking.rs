@@ -17,6 +17,8 @@
 //!
 //! Run with `cargo run --release --example model_checking`.
 
+use std::sync::Arc;
+
 use ruo::sim::explore::{enumerate, ExploreOp};
 use ruo::sim::history::OpOutput;
 use ruo::sim::{cas, done, read, write, Machine, Memory, ObjId, OpDesc, ProcessId, Step};
@@ -41,16 +43,18 @@ fn buggy_write(hi: ObjId, lo: ObjId, v: i64) -> Machine {
 /// The repaired write: raise each cell with a CAS loop, demoting what
 /// the `hi` swap displaced.
 fn fixed_write(hi: ObjId, lo: ObjId, v: i64) -> Machine {
-    fn raise(cell: ObjId, v: i64, k: Box<dyn FnOnce(Option<i64>) -> Step + Send>) -> Step {
+    type Displaced = Arc<dyn Fn(Option<i64>) -> Step + Send + Sync>;
+    fn raise(cell: ObjId, v: i64, k: Displaced) -> Step {
         read(cell, move |cur| {
             if v <= cur {
                 k(Some(v)) // v didn't displace anything here; try lower
             } else {
+                let k = Arc::clone(&k);
                 cas(cell, cur, v, move |ok| {
                     if ok == 1 {
                         k(if cur >= 0 { Some(cur) } else { None })
                     } else {
-                        raise(cell, v, k)
+                        raise(cell, v, Arc::clone(&k))
                     }
                 })
             }
@@ -59,9 +63,9 @@ fn fixed_write(hi: ObjId, lo: ObjId, v: i64) -> Machine {
     Machine::new(raise(
         hi,
         v,
-        Box::new(move |displaced| match displaced {
+        Arc::new(move |displaced| match displaced {
             None => done(0),
-            Some(d) => raise(lo, d, Box::new(|_| done(0))),
+            Some(d) => raise(lo, d, Arc::new(|_| done(0))),
         }),
     ))
 }

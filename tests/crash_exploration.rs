@@ -31,7 +31,8 @@ use ruo::sim::explore::{explore, explore_parallel, ExploreConfig, ExploreOp, Exp
 use ruo::sim::lin::{check_exact, check_max_register};
 use ruo::sim::spec::SeqSpec;
 use ruo::sim::{
-    cas, done, read, write, History, Machine, Memory, ObjId, OpDesc, ProcessId, Step, Word, NEG_INF,
+    cas, done, read, write, BoxedStep, History, Machine, Memory, ObjId, OpDesc, ProcessId, Step,
+    Word, NEG_INF,
 };
 
 /// The flagship crash-tolerance proof: the scaled `N = 4` scope from
@@ -144,18 +145,23 @@ mod single_cas {
             return done(0);
         }
         let (node, l, r) = levels[i];
-        let rd = move |o: Option<ObjId>, k: Box<dyn FnOnce(Word) -> Step + Send>| match o {
-            Some(o) => read(o, k),
+        let rd = move |o: Option<ObjId>, k: BoxedStep| match o {
+            Some(o) => read(o, move |w| k(w)),
             None => k(NEG_INF),
         };
         read(node, move |old| {
+            let levels = Arc::clone(&levels);
             rd(
                 l,
-                Box::new(move |lv| {
+                Arc::new(move |lv| {
+                    let levels = Arc::clone(&levels);
                     rd(
                         r,
-                        Box::new(move |rv| {
-                            cas(node, old, lv.max(rv), move |_| level(levels, i + 1))
+                        Arc::new(move |rv| {
+                            let levels = Arc::clone(&levels);
+                            cas(node, old, lv.max(rv), move |_| {
+                                level(Arc::clone(&levels), i + 1)
+                            })
                         }),
                     )
                 }),
@@ -191,7 +197,8 @@ mod single_cas {
             if w <= old {
                 done(0)
             } else {
-                write(leaf_cell, w, move || level(levels, 0))
+                let levels = Arc::clone(&levels);
+                write(leaf_cell, w, move || level(Arc::clone(&levels), 0))
             }
         }))
     }

@@ -20,7 +20,8 @@ use ruo::sim::explore::{assert_all_schedules_pass, enumerate, explore, ExploreCo
 use ruo::sim::lin::{check_exact, check_max_register};
 use ruo::sim::spec::SeqSpec;
 use ruo::sim::{
-    cas, done, read, write, Machine, Memory, ObjId, OpDesc, ProcessId, Step, Word, NEG_INF,
+    cas, done, read, write, BoxedStep, Machine, Memory, ObjId, OpDesc, ProcessId, Step, Word,
+    NEG_INF,
 };
 
 /// One `WriteMax(1)` racing two readers against the real Algorithm A:
@@ -135,19 +136,24 @@ fn exploration_rediscovers_the_single_cas_bug() {
             return done(0);
         }
         let (node, l, r) = levels[i];
-        let rd = move |o: Option<ObjId>, k: Box<dyn FnOnce(Word) -> Step + Send>| match o {
-            Some(o) => read(o, k),
+        let rd = move |o: Option<ObjId>, k: BoxedStep| match o {
+            Some(o) => read(o, move |w| k(w)),
             None => k(NEG_INF),
         };
         read(node, move |old| {
+            let levels = Arc::clone(&levels);
             rd(
                 l,
-                Box::new(move |lv| {
+                Arc::new(move |lv| {
+                    let levels = Arc::clone(&levels);
                     rd(
                         r,
-                        Box::new(move |rv| {
+                        Arc::new(move |rv| {
+                            let levels = Arc::clone(&levels);
                             // Single CAS per level: the injected fault.
-                            cas(node, old, lv.max(rv), move |_| level(levels, i + 1))
+                            cas(node, old, lv.max(rv), move |_| {
+                                level(Arc::clone(&levels), i + 1)
+                            })
                         }),
                     )
                 }),
@@ -183,7 +189,8 @@ fn exploration_rediscovers_the_single_cas_bug() {
             if w <= old {
                 done(0)
             } else {
-                write(leaf_cell, w, move || level(levels, 0))
+                let levels = Arc::clone(&levels);
+                write(leaf_cell, w, move || level(Arc::clone(&levels), 0))
             }
         }))
     }

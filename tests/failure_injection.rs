@@ -31,8 +31,8 @@ use ruo::scenario::{
 use ruo::sim::history::{History, OpDesc, OpOutput, OpRecord};
 use ruo::sim::lin::{check_max_register, check_snapshot, ViolationKind};
 use ruo::sim::{
-    cas, done, read, write, Executor, FaultPlan, Machine, Memory, ObjId, OpSpec, ProcessId,
-    RandomScheduler, Step, Word, WorkloadBuilder, NEG_INF,
+    cas, done, read, write, BoxedStep, Executor, FaultPlan, Machine, Memory, ObjId, OpSpec,
+    ProcessId, RandomScheduler, Step, Word, WorkloadBuilder, NEG_INF,
 };
 
 /// Applies exactly `k` events of `machine` (panics if it finishes
@@ -102,19 +102,24 @@ impl BrokenTreeWrite {
                 return done(0);
             }
             let (node, l, r) = levels[i];
-            let rd = move |o: Option<ObjId>, k: Box<dyn FnOnce(Word) -> Step + Send>| match o {
-                Some(o) => read(o, k),
+            let rd = move |o: Option<ObjId>, k: BoxedStep| match o {
+                Some(o) => read(o, move |w| k(w)),
                 None => k(NEG_INF),
             };
             read(node, move |old| {
+                let levels = Arc::clone(&levels);
                 rd(
                     l,
-                    Box::new(move |lv| {
+                    Arc::new(move |lv| {
+                        let levels = Arc::clone(&levels);
                         rd(
                             r,
-                            Box::new(move |rv| {
+                            Arc::new(move |rv| {
+                                let levels = Arc::clone(&levels);
                                 // ONE attempt only — the injected fault.
-                                cas(node, old, lv.max(rv), move |_| level(levels, i + 1))
+                                cas(node, old, lv.max(rv), move |_| {
+                                    level(Arc::clone(&levels), i + 1)
+                                })
                             }),
                         )
                     }),
@@ -125,7 +130,8 @@ impl BrokenTreeWrite {
             if w <= old {
                 done(0)
             } else {
-                write(leaf_cell, w, move || level(levels, 0))
+                let levels = Arc::clone(&levels);
+                write(leaf_cell, w, move || level(Arc::clone(&levels), 0))
             }
         }))
     }
