@@ -17,6 +17,9 @@
 //!   linearizability violation; they may in principle accept a
 //!   pathological non-linearizable history, so the property-test suite
 //!   cross-validates them against [`check_exact`] on small histories.
+//!   The max-register and counter checkers run once per explored
+//!   schedule, so they reuse per-thread scratch buffers and allocate
+//!   nothing in steady state at `k = 1`.
 //!
 //! Every checker except the snapshot one also comes as a `_k` variant
 //! ([`check_exact_k`], [`check_interval_k`], [`check_max_register_k`],
@@ -31,7 +34,8 @@
 //! global event ticks, where operation `a` precedes `b` iff
 //! `a.response <= b.invoke`.
 
-use std::collections::{HashMap, HashSet};
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -283,43 +287,123 @@ fn fmt_op(i: usize, op: &OpRecord) -> String {
     )
 }
 
-/// Running maxima over events sorted by completion tick: answers "among
-/// entries with `response <= t`, what is the largest value (and which
-/// op held it)?" in `O(log n)` after an `O(n log n)` build. The fast
-/// checkers use it to replace their quadratic all-pairs scans, since
-/// DPOR-scaled explorations hand them far more histories.
-struct PrefixMax {
-    /// `(response, best_value_so_far, op index holding it)`, sorted by
-    /// response.
-    entries: Vec<(usize, Word, usize)>,
+/// Per-thread buffers for the fast checkers. The explorer calls a fast
+/// checker once per explored schedule (229,176 five-op histories for
+/// W9), so each thread keeps one of these and every call clears and
+/// refills it instead of allocating. The explorer's workers share one
+/// `Fn + Sync` checker, and a thread-local gives each worker its own
+/// buffers without changing any signature.
+#[derive(Default)]
+struct FastScratch {
+    /// Completed reads, as `(op index, returned value)`, in op order.
+    reads: Vec<(usize, Word)>,
+    /// `(operand, invoke tick)` of every `WriteMax`, pending ones
+    /// included. Sorted, so the first entry for a value carries its
+    /// earliest invocation.
+    writes: Vec<(Word, usize)>,
+    /// [`prefix_max`] table of completed `WriteMax`es.
+    write_max: Vec<(usize, Word, usize)>,
+    /// [`prefix_max`] table of completed reads.
+    read_max: Vec<(usize, Word, usize)>,
+    /// Response ticks of completed increments, sorted.
+    inc_responses: Vec<usize>,
+    /// Invoke ticks of all increments, pending ones included, sorted.
+    inc_invokes: Vec<usize>,
 }
 
-impl PrefixMax {
-    /// Builds from `(op index, response tick, value)` triples.
-    fn new(mut items: Vec<(usize, usize, Word)>) -> Self {
-        items.sort_by_key(|&(_, resp, _)| resp);
-        let mut entries = Vec::with_capacity(items.len());
-        let mut best: Option<(Word, usize)> = None;
-        for (i, resp, v) in items {
-            let (bv, bi) = match best {
-                Some((bv, bi)) if bv >= v => (bv, bi),
-                _ => (v, i),
-            };
-            best = Some((bv, bi));
-            entries.push((resp, bv, bi));
-        }
-        PrefixMax { entries }
-    }
+thread_local! {
+    static SCRATCH: RefCell<FastScratch> = RefCell::new(FastScratch::default());
+}
 
-    /// Largest value among entries with `response <= t`, with the
-    /// holder's op index.
-    fn up_to(&self, t: usize) -> Option<(Word, usize)> {
-        let k = self.entries.partition_point(|&(resp, _, _)| resp <= t);
-        (k > 0).then(|| {
-            let (_, v, i) = self.entries[k - 1];
-            (v, i)
-        })
+/// Runs `f` on this thread's [`FastScratch`], emptied.
+fn with_scratch<R>(f: impl FnOnce(&mut FastScratch) -> R) -> R {
+    SCRATCH.with(|cell| {
+        let mut s = cell.borrow_mut();
+        s.reads.clear();
+        s.writes.clear();
+        s.write_max.clear();
+        s.read_max.clear();
+        s.inc_responses.clear();
+        s.inc_invokes.clear();
+        f(&mut s)
+    })
+}
+
+/// Turns `(response, value, op index)` entries, pushed in op order, into
+/// running maxima by completion tick, in place: afterwards each entry
+/// holds the largest value among the entries responding no later than
+/// it, and the op holding that value (the earliest on ties). Sorting by
+/// `(response, op index)` gives the stable sort by response without its
+/// buffer. [`max_up_to`] then answers "largest value completed by tick
+/// `t`" in `O(log n)`, which replaces the fast checkers' old quadratic
+/// all-pairs scans.
+fn prefix_max(entries: &mut [(usize, Word, usize)]) {
+    entries.sort_unstable_by_key(|&(resp, _, i)| (resp, i));
+    let mut best: Option<(Word, usize)> = None;
+    for e in entries {
+        let held = match best {
+            Some((bv, bi)) if bv >= e.1 => (bv, bi),
+            _ => (e.1, e.2),
+        };
+        best = Some(held);
+        (e.1, e.2) = held;
     }
+}
+
+/// Largest value among a [`prefix_max`] table's entries with
+/// `response <= t`, with the holder's op index.
+fn max_up_to(entries: &[(usize, Word, usize)], t: usize) -> Option<(Word, usize)> {
+    let k = entries.partition_point(|&(resp, _, _)| resp <= t);
+    (k > 0).then(|| {
+        let (_, v, i) = entries[k - 1];
+        (v, i)
+    })
+}
+
+/// The scalar a completed read returned.
+fn read_value(o: &OpRecord, what: &str) -> Word {
+    o.output
+        .as_ref()
+        .and_then(|out| out.value())
+        .unwrap_or_else(|| panic!("completed {what} has a value"))
+}
+
+/// Condition 3 of both scalar checkers: non-overlapping reads are
+/// monotone up to the factor `k`. A read conflicts iff some read
+/// completing no later than its invocation returned a value larger than
+/// `k` times its own.
+fn check_reads_monotone(ops: &[OpRecord], s: &mut FastScratch, k: u64) -> Result<(), Violation> {
+    s.read_max.extend(
+        s.reads
+            .iter()
+            .map(|&(i, v)| (ops[i].response.unwrap(), v, i)),
+    );
+    prefix_max(&mut s.read_max);
+    for &(i2, v2) in &s.reads {
+        if let Some((v1, i1)) = max_up_to(&s.read_max, ops[i2].invoke) {
+            let non_monotone = if k <= 1 || v2 < 0 {
+                v1 > v2
+            } else {
+                (v1 as i128) > (v2 as i128) * (k as i128)
+            };
+            if non_monotone {
+                let note = if k > 1 {
+                    format!(" (below the k={k} envelope)")
+                } else {
+                    String::new()
+                };
+                return Err(Violation::new(
+                    ViolationKind::NonMonotone,
+                    format!(
+                        "{} returned {v1} but later {} returned {v2}{note}",
+                        fmt_op(i1, &ops[i1]),
+                        fmt_op(i2, &ops[i2])
+                    ),
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Fast sound checker for max-register histories.
@@ -376,162 +460,121 @@ pub fn check_max_register(history: &History, initial: Word) -> Result<(), Violat
 pub fn check_max_register_k(history: &History, initial: Word, k: u64) -> Result<(), Violation> {
     assert!(k >= 1, "accuracy factor k must be >= 1");
     let ops = history.ops();
-    let reads: Vec<(usize, &OpRecord, Word)> = ops
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| o.desc == OpDesc::ReadMax && o.is_complete())
-        .map(|(i, o)| {
-            let v = o
-                .output
-                .as_ref()
-                .and_then(|out| out.value())
-                .expect("completed ReadMax has a value");
-            (i, o, v)
-        })
-        .collect();
-
-    // Single-pass indexes over the writes (the old all-pairs scans were
-    // O(ops²) per history):
-    // * earliest invocation tick per written value, for condition 1;
-    // * prefix maxima of completed writes by response tick, for
-    //   condition 2.
-    let mut first_invoke: HashMap<Word, usize> = HashMap::new();
-    let mut completed_writes: Vec<(usize, usize, Word)> = Vec::new();
-    for (j, o) in ops.iter().enumerate() {
-        if let OpDesc::WriteMax(wv) = o.desc {
-            let slot = first_invoke.entry(wv).or_insert(o.invoke);
-            *slot = (*slot).min(o.invoke);
-            if let Some(r) = o.response {
-                completed_writes.push((j, r, wv));
+    with_scratch(|s| {
+        // One pass over the ops (the old all-pairs scans were O(ops²)
+        // per history) builds:
+        // * the completed reads;
+        // * the sorted `(operand, invoke)` pairs, for condition 1;
+        // * prefix maxima of completed writes by response tick, for
+        //   condition 2.
+        for (j, o) in ops.iter().enumerate() {
+            match o.desc {
+                OpDesc::ReadMax if o.is_complete() => s.reads.push((j, read_value(o, "ReadMax"))),
+                OpDesc::WriteMax(wv) => {
+                    s.writes.push((wv, o.invoke));
+                    if let Some(r) = o.response {
+                        s.write_max.push((r, wv, j));
+                    }
+                }
+                _ => {}
             }
         }
-    }
-    let write_max_before = PrefixMax::new(completed_writes);
+        s.writes.sort_unstable();
+        prefix_max(&mut s.write_max);
 
-    // Relaxed condition 1 needs a range query per read ("is any written
-    // value inside [v, k·v] invoked before my response?"). An offline
-    // sweep in response order over a BTreeSet of invoked operands keeps
-    // it O((reads + writes) · log writes) instead of a value scan per
-    // read.
-    let mut envelope_witness: Vec<bool> = vec![false; reads.len()];
-    if k > 1 {
-        let mut writes_by_invoke: Vec<(usize, Word)> = ops
-            .iter()
-            .filter_map(|o| match o.desc {
-                OpDesc::WriteMax(wv) => Some((o.invoke, wv)),
-                _ => None,
-            })
-            .collect();
-        writes_by_invoke.sort_unstable();
-        let mut order: Vec<usize> = (0..reads.len()).collect();
-        order.sort_by_key(|&ri| reads[ri].1.response.unwrap());
-        let mut invoked: std::collections::BTreeSet<Word> = std::collections::BTreeSet::new();
-        let mut wi = 0;
-        for ri in order {
-            let (_, read, v) = reads[ri];
-            let resp = read.response.unwrap();
-            while wi < writes_by_invoke.len() && writes_by_invoke[wi].0 < resp {
-                invoked.insert(writes_by_invoke[wi].1);
-                wi += 1;
-            }
-            if v >= 0 {
-                let hi = ((v as i128) * (k as i128)).min(Word::MAX as i128) as Word;
-                envelope_witness[ri] = invoked.range(v..=hi).next().is_some();
+        // Relaxed condition 1 needs a range query per read ("is any
+        // written value inside [v, k·v] invoked before my response?").
+        // An offline sweep in response order over a BTreeSet of invoked
+        // operands keeps it O((reads + writes) · log writes) instead of
+        // a value scan per read. Only approximate scopes (k > 1) run it.
+        let mut envelope_witness: Vec<bool> = Vec::new();
+        if k > 1 {
+            envelope_witness.resize(s.reads.len(), false);
+            let mut writes_by_invoke: Vec<(usize, Word)> =
+                s.writes.iter().map(|&(wv, inv)| (inv, wv)).collect();
+            writes_by_invoke.sort_unstable();
+            let mut order: Vec<usize> = (0..s.reads.len()).collect();
+            order.sort_by_key(|&ri| ops[s.reads[ri].0].response.unwrap());
+            let mut invoked: BTreeSet<Word> = BTreeSet::new();
+            let mut wi = 0;
+            for ri in order {
+                let (i, v) = s.reads[ri];
+                let resp = ops[i].response.unwrap();
+                while wi < writes_by_invoke.len() && writes_by_invoke[wi].0 < resp {
+                    invoked.insert(writes_by_invoke[wi].1);
+                    wi += 1;
+                }
+                if v >= 0 {
+                    let hi = ((v as i128) * (k as i128)).min(Word::MAX as i128) as Word;
+                    envelope_witness[ri] = invoked.range(v..=hi).next().is_some();
+                }
             }
         }
-    }
 
-    for (ri, &(i, read, v)) in reads.iter().enumerate() {
-        // Condition 1: something inside the envelope was actually
-        // written (or is the floor).
-        if k <= 1 || v < 0 {
-            if v != initial {
-                let written = first_invoke
-                    .get(&v)
-                    .is_some_and(|&inv| inv < read.response.unwrap());
-                if !written {
+        for (ri, &(i, v)) in s.reads.iter().enumerate() {
+            let read = &ops[i];
+            // Condition 1: something inside the envelope was actually
+            // written (or is the floor).
+            if k <= 1 || v < 0 {
+                if v != initial {
+                    // The first entry for `v` has its earliest invoke.
+                    let first = s.writes.partition_point(|&(wv, _)| wv < v);
+                    let written = s
+                        .writes
+                        .get(first)
+                        .is_some_and(|&(wv, inv)| wv == v && inv < read.response.unwrap());
+                    if !written {
+                        return Err(Violation::new(
+                            ViolationKind::UnwrittenValue,
+                            format!(
+                                "{} returned {v}, never written before its response",
+                                fmt_op(i, read)
+                            ),
+                        ));
+                    }
+                }
+            } else {
+                let hi = (v as i128) * (k as i128);
+                let initial_in_envelope = initial >= v && (initial as i128) <= hi;
+                if !initial_in_envelope && !envelope_witness[ri] {
                     return Err(Violation::new(
                         ViolationKind::UnwrittenValue,
                         format!(
-                            "{} returned {v}, never written before its response",
+                            "{} returned {v}, but nothing written before its response \
+                             lies in its k={k} envelope [{v}, {hi}]",
                             fmt_op(i, read)
                         ),
                     ));
                 }
             }
-        } else {
-            let hi = (v as i128) * (k as i128);
-            let initial_in_envelope = initial >= v && (initial as i128) <= hi;
-            if !initial_in_envelope && !envelope_witness[ri] {
-                return Err(Violation::new(
-                    ViolationKind::UnwrittenValue,
-                    format!(
-                        "{} returned {v}, but nothing written before its response \
-                         lies in its k={k} envelope [{v}, {hi}]",
-                        fmt_op(i, read)
-                    ),
-                ));
-            }
-        }
-        // Condition 2: no completed preceding write is missed (beyond
-        // the allowed factor-k underestimate).
-        if let Some((wv, j)) = write_max_before.up_to(read.invoke) {
-            let missed = if k <= 1 || v < 0 {
-                wv > v
-            } else {
-                (wv as i128) > (v as i128) * (k as i128)
-            };
-            if missed {
-                let note = if k > 1 {
-                    format!(" (outside the k={k} envelope)")
+            // Condition 2: no completed preceding write is missed (beyond
+            // the allowed factor-k underestimate).
+            if let Some((wv, j)) = max_up_to(&s.write_max, read.invoke) {
+                let missed = if k <= 1 || v < 0 {
+                    wv > v
                 } else {
-                    String::new()
+                    (wv as i128) > (v as i128) * (k as i128)
                 };
-                return Err(Violation::new(
-                    ViolationKind::StaleRead,
-                    format!(
-                        "{} returned {v} but {} completed before it{note}",
-                        fmt_op(i, read),
-                        fmt_op(j, &ops[j])
-                    ),
-                ));
+                if missed {
+                    let note = if k > 1 {
+                        format!(" (outside the k={k} envelope)")
+                    } else {
+                        String::new()
+                    };
+                    return Err(Violation::new(
+                        ViolationKind::StaleRead,
+                        format!(
+                            "{} returned {v} but {} completed before it{note}",
+                            fmt_op(i, read),
+                            fmt_op(j, &ops[j])
+                        ),
+                    ));
+                }
             }
         }
-    }
-    // Condition 3: monotone across non-overlapping reads (prefix maxima
-    // again: a read conflicts iff some read completing no later than its
-    // invocation returned a value larger than k times its own).
-    let read_max_before = PrefixMax::new(
-        reads
-            .iter()
-            .map(|&(i, r, v)| (i, r.response.unwrap(), v))
-            .collect(),
-    );
-    for &(i2, r2, v2) in &reads {
-        if let Some((v1, i1)) = read_max_before.up_to(r2.invoke) {
-            let non_monotone = if k <= 1 || v2 < 0 {
-                v1 > v2
-            } else {
-                (v1 as i128) > (v2 as i128) * (k as i128)
-            };
-            if non_monotone {
-                let note = if k > 1 {
-                    format!(" (below the k={k} envelope)")
-                } else {
-                    String::new()
-                };
-                return Err(Violation::new(
-                    ViolationKind::NonMonotone,
-                    format!(
-                        "{} returned {v1} but later {} returned {v2}{note}",
-                        fmt_op(i1, &ops[i1]),
-                        fmt_op(i2, r2)
-                    ),
-                ));
-            }
-        }
-    }
-    Ok(())
+        // Condition 3: monotone across non-overlapping reads.
+        check_reads_monotone(ops, s, k)
+    })
 }
 
 /// Fast sound checker for counter histories.
@@ -582,94 +625,58 @@ pub fn check_counter(history: &History) -> Result<(), Violation> {
 pub fn check_counter_k(history: &History, k: u64) -> Result<(), Violation> {
     assert!(k >= 1, "accuracy factor k must be >= 1");
     let ops = history.ops();
-    let reads: Vec<(usize, &OpRecord, Word)> = ops
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| o.desc == OpDesc::CounterRead && o.is_complete())
-        .map(|(i, o)| {
-            let v = o
-                .output
-                .as_ref()
-                .and_then(|out| out.value())
-                .expect("completed CounterRead has a value");
-            (i, o, v)
-        })
-        .collect();
-
-    // Single-pass: sorted completion/invocation ticks of the increments
-    // turn each read's feasible interval into two binary searches
-    // (instead of an O(ops) scan per read).
-    let mut inc_responses: Vec<usize> = Vec::new();
-    let mut inc_invokes: Vec<usize> = Vec::new();
-    for o in ops {
-        if o.desc == OpDesc::CounterIncrement {
-            inc_invokes.push(o.invoke);
-            if let Some(r) = o.response {
-                inc_responses.push(r);
+    with_scratch(|s| {
+        // Single pass: sorted completion/invocation ticks of the
+        // increments turn each read's feasible interval into two binary
+        // searches (instead of an O(ops) scan per read).
+        for (i, o) in ops.iter().enumerate() {
+            match o.desc {
+                OpDesc::CounterRead if o.is_complete() => {
+                    s.reads.push((i, read_value(o, "CounterRead")))
+                }
+                OpDesc::CounterIncrement => {
+                    s.inc_invokes.push(o.invoke);
+                    if let Some(r) = o.response {
+                        s.inc_responses.push(r);
+                    }
+                }
+                _ => {}
             }
         }
-    }
-    inc_responses.sort_unstable();
-    inc_invokes.sort_unstable();
+        s.inc_responses.sort_unstable();
+        s.inc_invokes.sort_unstable();
 
-    for &(i, read, c) in &reads {
-        let completed_before = inc_responses.partition_point(|&r| r <= read.invoke) as Word;
-        let invoked_before =
-            inc_invokes.partition_point(|&inv| inv < read.response.unwrap()) as Word;
-        let out_of_range = if k <= 1 || c < 0 {
-            c < completed_before || c > invoked_before
-        } else {
-            // k·c must reach the completed floor; c itself may never
-            // exceed the invoked ceiling (no overestimates).
-            c > invoked_before || (c as i128) * (k as i128) < completed_before as i128
-        };
-        if out_of_range {
-            let envelope = if k > 1 {
-                format!(" under accuracy factor k={k}")
+        for &(i, c) in &s.reads {
+            let read = &ops[i];
+            let completed_before = s.inc_responses.partition_point(|&r| r <= read.invoke) as Word;
+            let invoked_before =
+                s.inc_invokes
+                    .partition_point(|&inv| inv < read.response.unwrap()) as Word;
+            let out_of_range = if k <= 1 || c < 0 {
+                c < completed_before || c > invoked_before
             } else {
-                String::new()
+                // k·c must reach the completed floor; c itself may never
+                // exceed the invoked ceiling (no overestimates).
+                c > invoked_before || (c as i128) * (k as i128) < completed_before as i128
             };
-            return Err(Violation::new(
-                ViolationKind::CountOutOfRange,
-                format!(
-                    "{} returned {c}, feasible interval is \
-                     [{completed_before}, {invoked_before}]{envelope}",
-                    fmt_op(i, read)
-                ),
-            ));
-        }
-    }
-    let read_max_before = PrefixMax::new(
-        reads
-            .iter()
-            .map(|&(i, r, c)| (i, r.response.unwrap(), c))
-            .collect(),
-    );
-    for &(i2, r2, c2) in &reads {
-        if let Some((c1, i1)) = read_max_before.up_to(r2.invoke) {
-            let non_monotone = if k <= 1 || c2 < 0 {
-                c1 > c2
-            } else {
-                (c1 as i128) > (c2 as i128) * (k as i128)
-            };
-            if non_monotone {
-                let note = if k > 1 {
-                    format!(" (below the k={k} envelope)")
+            if out_of_range {
+                let envelope = if k > 1 {
+                    format!(" under accuracy factor k={k}")
                 } else {
                     String::new()
                 };
                 return Err(Violation::new(
-                    ViolationKind::NonMonotone,
+                    ViolationKind::CountOutOfRange,
                     format!(
-                        "{} returned {c1} but later {} returned {c2}{note}",
-                        fmt_op(i1, &ops[i1]),
-                        fmt_op(i2, r2)
+                        "{} returned {c}, feasible interval is \
+                         [{completed_before}, {invoked_before}]{envelope}",
+                        fmt_op(i, read)
                     ),
                 ));
             }
         }
-    }
-    Ok(())
+        check_reads_monotone(ops, s, k)
+    })
 }
 
 /// Fast sound checker for single-writer snapshot histories.
